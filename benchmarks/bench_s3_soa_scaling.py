@@ -1,44 +1,37 @@
-"""S3 — SoA-tier scaling: one Python call per round vs. per-node calls.
+"""S3 — SoA-tier scaling: one Python call per round, at n up to 10⁶.
 
-ISSUE 3's acceptance bar, extended by ISSUE 6 with the sharded round
-loop.  The rooting phase (§2.1, footnote 8) is the most
-call-overhead-bound phase of the Theorem 1.1 pipeline: per-node work is
-a couple of integer compares, so at ``n ≥ 10⁵`` the batch tier's one
-Python call per node per round dominates everything.  The SoA tier
-(`repro.core.soa_rooting`) advances *all* nodes with one call over
-shared numpy columns, through the identical vectorized delivery path.
+The rooting phase (§2.1, footnote 8) is the most call-overhead-bound
+phase of the Theorem 1.1 pipeline: per-node work is a couple of integer
+compares, so at ``n ≥ 10⁵`` one Python call per node per round dominates
+everything.  The SoA tier (`repro.core.soa_rooting`) advances *all* nodes
+with one call over shared numpy columns, through the vectorized delivery
+path.
 
-Measured here, on the same ring-plus-chords stand-in for evolution
-output as S2:
+Measured here, on the ring-plus-chords stand-in for evolution output:
 
-- wall-clock of the batch tier vs. the SoA tier across sizes (both on
-  vectorized delivery — the node *representation* is the only variable,
-  so the comparison is engine-controlled);
-- a **hard speedup assert**: SoA ≥ 20× over batch nodes at ``n = 10⁵``
-  (full mode), ≥ 6× at ``n = 2·10⁴`` (smoke mode, run in CI);
-- the SoA tier across a **worker-count sweep** (``--workers`` /
+- the SoA tier across sizes and a **worker-count sweep** (``--workers`` /
   ``REPRO_WORKERS`` restricts it to one count): every count must produce
   the identical tree, asserted in-bench via the ``tree_sha`` column that
   also lands in the JSON artifact (the CI shard-invariance job compares
   the SHAs *across processes*);
-- the **layout-reuse check** (ISSUE 6 acceptance): the same run with
-  ``REPRO_SOA_LAYOUT_REUSE=0`` (the pre-shard per-round re-sort) must be
-  ≥ 2× slower at ``n = 10⁶`` in full mode — the measured win of the
+- the **layout-reuse check**: the same run with
+  ``REPRO_SOA_LAYOUT_REUSE=0`` (the per-round re-sort) must be ≥ 2×
+  slower at ``n = 10⁶`` in full mode — the measured win of the
   persistent receiver-sorted layout; smoke mode records the ratio at its
   top size without asserting (the win needs big rounds to dominate);
-- a demonstrated ``n = 10⁶`` rooting run on the SoA tier — a scale no
-  per-node tier reaches in reasonable time — validated to span with a
-  unique root (``run_soa_rooting`` raises otherwise);
-- an exact three-tier equivalence check (object vs. batch vs. SoA:
-  identical trees, metrics, rounds) before anything is timed.
+- a demonstrated ``n = 10⁶`` rooting run on the SoA tier — a scale the
+  object tier does not reach in reasonable time — validated to span with
+  a unique root (``run_soa_rooting`` raises otherwise);
+- an exact object-vs-SoA equivalence check (identical trees, metrics,
+  rounds) before anything is timed.
 
 Run standalone:  ``PYTHONPATH=src python benchmarks/bench_s3_soa_scaling.py``
-(``--smoke`` for the ~30 s CI variant, ``--engine legacy|vectorized|soa``
-to restrict the stacks timed, ``--workers N`` to pin the shard count,
-``--json PATH`` for the machine-readable ``repro-bench/v1`` payload,
-``--trace PATH`` for the ISSUE 9 satellite: a traced-vs-untraced
-invariance run whose ``trace/v1`` artifact and overhead percentages land
-in the JSON ``checks``).
+(``--smoke`` for the ~30 s CI variant, ``--engine soa`` to time only the
+SoA tier or ``--engine legacy|vectorized`` to time only the object tier on
+that engine, ``--workers N`` to pin the shard count, ``--json PATH`` for
+the machine-readable ``repro-bench/v1`` payload, ``--trace PATH`` for a
+traced-vs-untraced invariance run whose ``trace/v1`` artifact and
+overhead percentages land in the JSON ``checks``).
 """
 
 import argparse
@@ -49,10 +42,9 @@ import time
 
 import numpy as np
 
-from repro.core.protocol_tree import run_batch_rooting, run_protocol_rooting
+from repro.core.protocol_tree import run_protocol_rooting
 from repro.core.soa_rooting import run_soa_rooting
 from repro.experiments.harness import (
-    TIER_CHOICES,
     Table,
     add_engine_argument,
     add_workers_argument,
@@ -61,13 +53,11 @@ from repro.experiments.harness import (
 )
 from repro.graphs.portgraph import PortGraph
 from repro.net.shard import effective_workers
-from repro.runtime import RunContext, workers_specified
+from repro.runtime import TIER_CHOICES, RunContext, workers_specified
 
 FULL_SIZES = (10_000, 100_000)
 FULL_SOA_ONLY = (1_000_000,)
 SMOKE_SIZES = (2_000, 20_000)
-FULL_ASSERT = (100_000, 20.0)
-SMOKE_ASSERT = (20_000, 6.0)
 FULL_WORKER_SWEEP = (1, 2, 4)
 SMOKE_WORKER_SWEEP = (1, 2)
 TRACE_N_FULL = 100_000
@@ -78,8 +68,8 @@ NUM_CHORD_SETS = 2
 
 
 def overlay_like_graph(n: int, seed: int) -> PortGraph:
-    """Connected Δ=16 multigraph with ``O(log n)`` diameter (the same
-    ring-plus-chords family as S2; construction shared in PortGraph)."""
+    """Connected Δ=16 multigraph with ``O(log n)`` diameter (the
+    ring-plus-chords family; construction shared in PortGraph)."""
     return PortGraph.ring_with_chords(n, delta=DELTA, chords=NUM_CHORD_SETS, seed=seed)
 
 
@@ -127,19 +117,15 @@ def _soa_run_seconds(graph, fr, workers: int, repeats: int, reuse: bool = True):
 
 
 def check_equivalence(n: int = 400) -> None:
-    """Bit-for-bit three-tier agreement before timing anything."""
+    """Bit-for-bit object-vs-SoA agreement before timing anything."""
     graph = overlay_like_graph(n, seed=n)
     fr = _flood_rounds(n)
     obj = run_protocol_rooting(graph, fr, rng=np.random.default_rng(n), engine="legacy")
-    bat = run_batch_rooting(graph, fr, rng=np.random.default_rng(n))
     soa = run_soa_rooting(graph, fr, rng=np.random.default_rng(n))
-    for name, other in (("batch", bat), ("soa", soa)):
-        assert other.root == obj.root, f"{name} disagrees on the root"
-        assert np.array_equal(other.parent, obj.parent), f"{name} disagrees on parents"
-        assert np.array_equal(other.depth, obj.depth), f"{name} disagrees on depths"
-        assert other.metrics.as_dict() == obj.metrics.as_dict(), (
-            f"{name} disagrees on metrics"
-        )
+    assert soa.root == obj.root, "soa disagrees on the root"
+    assert np.array_equal(soa.parent, obj.parent), "soa disagrees on parents"
+    assert np.array_equal(soa.depth, obj.depth), "soa disagrees on depths"
+    assert soa.metrics.as_dict() == obj.metrics.as_dict(), "soa disagrees on metrics"
 
 
 def run_experiment(
@@ -150,7 +136,6 @@ def run_experiment(
     check_equivalence()
     sizes = SMOKE_SIZES if smoke else FULL_SIZES
     soa_only = () if smoke else FULL_SOA_ONLY
-    assert_n, assert_factor = SMOKE_ASSERT if smoke else FULL_ASSERT
     worker_counts = _worker_counts(smoke, workers_cli)
 
     table = Table(
@@ -199,29 +184,18 @@ def run_experiment(
                 f"worker counts disagree on the tree at n={n}: {shas}"
             )
 
-        if engine_filter in (None, "vectorized"):
-            result = run_batch_rooting(graph, fr, rng=np.random.default_rng(1))
-            seconds = _time(
-                lambda: run_batch_rooting(graph, fr, rng=np.random.default_rng(1)),
-                repeats=1,
-            )
-            record(
-                n, "batch-nodes", None, seconds,
-                result.metrics.total_messages, _tree_sha(result),
-            )
-
-        if engine_filter == "legacy":
+        if engine_filter in ("legacy", "vectorized"):
             result = run_protocol_rooting(
-                graph, fr, rng=np.random.default_rng(1), engine="legacy"
+                graph, fr, rng=np.random.default_rng(1), engine=engine_filter
             )
             seconds = _time(
                 lambda: run_protocol_rooting(
-                    graph, fr, rng=np.random.default_rng(1), engine="legacy"
+                    graph, fr, rng=np.random.default_rng(1), engine=engine_filter
                 ),
                 repeats=1,
             )
             record(
-                n, "object-nodes", None, seconds,
+                n, f"object-nodes/{engine_filter}", None, seconds,
                 result.metrics.total_messages, _tree_sha(result),
             )
 
@@ -269,26 +243,11 @@ def run_experiment(
             )
 
     table.show()
-
-    if engine_filter is None and 1 in worker_counts:
-        t_soa = rows[(assert_n, "soa", 1)]
-        t_batch = rows[(assert_n, "batch-nodes", None)]
-        speedup = t_batch / t_soa
-        checks["soa_over_batch_speedup"] = {
-            "n": assert_n,
-            "speedup": round(speedup, 2),
-            "threshold": assert_factor,
-        }
-        print(f"n={assert_n}: SoA-over-batch (engine-controlled) speedup {speedup:.1f}x")
-        assert speedup >= assert_factor, (
-            f"SoA tier only {speedup:.1f}x faster than batch nodes at "
-            f"n={assert_n} (need >= {assert_factor}x)"
-        )
     return rows, json_rows, checks, worker_counts
 
 
 def run_trace_check(smoke: bool, trace_path: str, worker_counts) -> dict:
-    """ISSUE 9 trace satellite: every traced run must build the identical
+    """Trace invariance: every traced run must build the identical
     tree as the untraced baseline, the enabled overhead is recorded, and
     the *disabled* path — a run after the ``capture()`` session exits —
     must stay within the regression bar (zero-overhead-when-off)."""
@@ -357,7 +316,7 @@ def bench_s3_soa_scaling(benchmark):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--smoke", action="store_true", help="~30s CI variant: small sizes, 6x assert"
+        "--smoke", action="store_true", help="~30s CI variant: small sizes"
     )
     add_engine_argument(parser, choices=TIER_CHOICES)
     add_workers_argument(parser)

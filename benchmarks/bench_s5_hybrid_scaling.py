@@ -47,14 +47,13 @@ import numpy as np
 
 from repro.core.bfs import build_bfs_forest
 from repro.experiments.harness import (
-    HYBRID_CHOICES,
     Table,
     add_workers_argument,
     select_workers,
     tier_filter,
 )
 from repro.net.shard import effective_workers
-from repro.runtime import RunContext
+from repro.runtime import HYBRID_TIERS, RunContext
 from repro.graphs import generators as G
 from repro.graphs.portgraph import PortGraph
 from repro.hybrid.components import (
@@ -198,7 +197,7 @@ def run_experiment(
     for n in sizes:
         graph = hybrid_input_graph(n, seed=n)
         fingerprints = {}
-        for tier in HYBRID_CHOICES:
+        for tier in HYBRID_TIERS:
             if hybrid_filter is not None and tier != hybrid_filter:
                 continue
             best = None
@@ -361,7 +360,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--hybrid",
-        choices=HYBRID_CHOICES,
+        choices=HYBRID_TIERS,
         default=None,
         help="restrict the timed tiers (default: REPRO_HYBRID env var or both)",
     )

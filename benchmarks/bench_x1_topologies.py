@@ -30,7 +30,7 @@ def bench_x1_structured_overlays(benchmark):
     # Every rooting tier builds the identical tree; REPRO_ROOTING selects
     # the execution path under measurement — one resolved context carries
     # it into every network the build constructs.
-    ctx = RunContext.resolve(rooting=select_tier("rooting", default="batch"))
+    ctx = RunContext.resolve(rooting=select_tier("rooting", default="soa"))
 
     def experiment():
         n = 256

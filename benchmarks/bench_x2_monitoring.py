@@ -11,7 +11,7 @@ baseline measures), plus correctness of every monitor.
 
 The overlay construction's rooting phase (and hence the whole path into
 the monitors) runs on the execution tier selected by the ``REPRO_ROOTING``
-environment variable (``reference`` / ``protocol`` / ``batch`` / ``soa``)
+environment variable (``reference`` / ``protocol`` / ``soa``)
 — every tier builds the identical tree, so the measured rounds are
 tier-independent.
 """
@@ -30,7 +30,7 @@ from repro.runtime import RunContext
 
 
 def bench_x2_monitor_battery(benchmark):
-    rooting = select_tier("rooting", default="batch")
+    rooting = select_tier("rooting", default="soa")
     # One resolved context carries the tier into every network the
     # builds below construct.
     ctx = RunContext.resolve(rooting=rooting)

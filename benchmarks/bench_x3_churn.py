@@ -22,7 +22,7 @@ def bench_x3_survival_curves(benchmark):
     # Identical overlay on every rooting tier; REPRO_ROOTING selects the
     # execution path under measurement — one resolved context carries it
     # into every network the build constructs.
-    ctx = RunContext.resolve(rooting=select_tier("rooting", default="batch"))
+    ctx = RunContext.resolve(rooting=select_tier("rooting", default="soa"))
 
     def experiment():
         n = 256

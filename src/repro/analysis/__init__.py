@@ -1,7 +1,7 @@
 """repro-lint: determinism-contract static analysis for the engine.
 
 The engine's headline guarantee — bit-for-bit equality across the
-object/batch/SoA tiers, worker counts, and synchronisers — rests on
+object/SoA tiers, worker counts, and synchronisers — rests on
 source-level conventions (canonical RNG discipline, ascending-sender
 emission, int64 lanes, order-independent emission, disjoint shard
 writes).  This package checks those conventions mechanically:

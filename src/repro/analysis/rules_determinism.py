@@ -2,7 +2,7 @@
 
 Message emission and edge construction must be derived from canonically
 ordered data: the SoA contract is *ascending-sender* emission, and the
-per-node tiers enumerate traffic in node-insertion order.  Iterating a
+object tier enumerates traffic in node-insertion order.  Iterating a
 ``set`` feeds hash-table order into that pipeline — order that CPython
 happens to make reproducible for small dense ints, and silently stops
 guaranteeing the moment ids become gappy or large (exactly how the

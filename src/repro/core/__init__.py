@@ -10,16 +10,12 @@ The public surface:
 - :func:`repro.core.pipeline.build_well_formed_tree` — the full
   Theorem 1.1 pipeline (prepare → evolve → BFS → well-form);
 - :mod:`repro.core.protocol` — the message-level NCC0 engine used to
-  validate communication bounds.
+  validate communication bounds (object nodes, the oracle), with its
+  structure-of-arrays hot path in :mod:`repro.core.batch_protocol`.
 """
 
 from repro.core.params import ExpanderParams
-from repro.core.batch_protocol import (
-    BatchExpanderNode,
-    SoAExpanderClass,
-    run_batch_expander,
-    run_soa_expander,
-)
+from repro.core.batch_protocol import SoAExpanderClass, run_soa_expander
 from repro.core.benign import BenignReport, check_benign, make_benign
 from repro.core.protocol import ExpanderNode, ProtocolRunResult, run_protocol_expander
 from repro.core.walks import WalkResult, run_token_walks, sample_port_targets
@@ -33,10 +29,8 @@ from repro.core.expander import (
 )
 from repro.core.protocol_tree import (
     ROOTING_TIERS,
-    BatchRootingNode,
     TreeProtocolResult,
     build_rooting_population,
-    run_batch_rooting,
     run_protocol_rooting,
     run_rooting_under_asynchrony,
 )
@@ -65,9 +59,7 @@ from repro.core.topologies import (
 
 __all__ = [
     "ExpanderParams",
-    "BatchExpanderNode",
     "SoAExpanderClass",
-    "run_batch_expander",
     "run_soa_expander",
     "ExpanderNode",
     "ProtocolRunResult",
@@ -84,9 +76,7 @@ __all__ = [
     "ExpanderResult",
     "OverlayEdge",
     "create_expander",
-    "BatchRootingNode",
     "TreeProtocolResult",
-    "run_batch_rooting",
     "run_protocol_rooting",
     "run_rooting_under_asynchrony",
     "ROOTING_TIERS",

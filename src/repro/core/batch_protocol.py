@@ -1,24 +1,21 @@
-"""Batched message-level ``CreateExpander`` — array nodes on the NCC0 net.
+"""Structure-of-arrays ``CreateExpander`` — the hot path on the NCC0 net.
 
 This is the same protocol as :mod:`repro.core.protocol` (§2.1 executed
-message-by-message under real capacity enforcement), but every node is a
-:class:`repro.net.network.BatchProtocolNode`: a round's tokens leave a
-node as one :class:`repro.net.batch.MessageBatch` (receiver + origin
-arrays) instead of per-token ``Message`` objects, and the vectorized
-delivery engine moves the whole round through flat numpy buffers.
+message-by-message under real capacity enforcement), but the whole
+population is one :class:`repro.net.soa.SoAProtocolClass`: a round's
+tokens leave every node as one :class:`repro.net.batch.MessageBatch`
+(holder + origin columns) instead of per-token ``Message`` objects, and
+the vectorized delivery engine moves the whole round through flat numpy
+buffers.
 
-Semantics are identical to the object engine — same round schedule
+Semantics are identical to the object nodes — same round schedule
 (``ℓ`` forwarding rounds, one acceptance round, one reply/rebuild round
-per evolution), same per-node randomness shape (one uniform port draw per
-resident token, one uniform acceptance subset per over-full node), same
-NCC0 drop behaviour.  What changes is the constant factor: no Python
-object per message, which is what makes ``n ≈ 5·10⁴`` protocol runs
-practical (see ``benchmarks/bench_s1_engine_scaling.py``).
-
-The token-forwarding inner loop is shared with the fast engine:
-:func:`repro.core.walks.sample_port_targets`, in row mode.  (Row mode
-draws ``⌊uniform·Δ⌋`` rather than matrix mode's ``rng.integers`` — see
-the function's docstring for why the streams intentionally differ.)
+per evolution), same randomness shape (one uniform port draw per resident
+token, one uniform acceptance subset per over-full node), same NCC0 drop
+behaviour.  Under a shared generator the run is bit-for-bit the object
+run (:func:`repro.core.protocol.run_expander_on_network` with
+``rng_mode="shared"``).  What changes is the constant factor: no Python
+object per message and no Python call per node.
 """
 
 from __future__ import annotations
@@ -26,21 +23,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.params import ExpanderParams
-from repro.core.protocol import (
-    ProtocolRunResult,
-    prepare_network_inputs,
-    run_expander_on_network,
-)
-from repro.core.walks import sample_port_targets
+from repro.core.protocol import ProtocolRunResult, prepare_network_inputs
 from repro.graphs.portgraph import PortGraph
 from repro.net.batch import KINDS, MessageBatch
-from repro.net.network import BatchProtocolNode, CapacityPolicy, SyncNetwork
+from repro.net.network import CapacityPolicy, SyncNetwork
 from repro.net.soa import SoAInbox, SoAProtocolClass
+from repro.runtime import RunContext
 
 __all__ = [
-    "BatchExpanderNode",
     "SoAExpanderClass",
-    "run_batch_expander",
     "run_soa_expander",
 ]
 
@@ -48,158 +39,21 @@ TOKEN = KINDS.code("token")
 ACCEPT = KINDS.code("accept")
 
 
-class BatchExpanderNode(BatchProtocolNode):
-    """One NCC0 node executing ``CreateExpander`` on message arrays.
-
-    State per evolution: the node's current port row (partner ids, own id
-    for self-loops) as an ``int64`` array, plus the partner ids recorded
-    for the next evolution graph.
-    """
-
-    def __init__(
-        self,
-        node_id: int,
-        neighbors: list[int],
-        params: ExpanderParams,
-        rng: np.random.Generator,
-    ) -> None:
-        super().__init__(node_id)
-        self.params = params
-        self.rng = rng
-        # MakeBenign, locally: copy each incident edge Λ times, pad with
-        # self-loops to degree Δ (laziness follows from 2·Λ·d ≤ Δ).
-        copied = np.repeat(np.sort(np.asarray(neighbors, dtype=np.int64)), params.lam)
-        if copied.shape[0] > params.delta // 2:
-            raise ValueError(
-                f"node {node_id}: Λ·deg = {copied.shape[0]} exceeds "
-                f"Δ/2 = {params.delta // 2}"
-            )
-        self.ports = np.concatenate(
-            [copied, np.full(params.delta - copied.shape[0], node_id, dtype=np.int64)]
-        )
-        self._next_origin_edges: list[np.ndarray] = []  # via own accepted tokens
-        self._next_accept_edges: list[np.ndarray] = []  # via accepted foreign tokens
-        self.evolutions_done = 0
-        self.accepted_origins: list[np.ndarray] = []  # per-acceptance log
-        # Hot-path constants (attribute lookups beat property calls at
-        # n·rounds call volume).
-        self._span = params.ell + 2
-        self._ell = params.ell
-        self._delta = params.delta
-        self._accept_cap = params.accept_cap
-        self._num_evolutions = params.num_evolutions
-        self._own_tokens = np.full(params.tokens_per_node, node_id, dtype=np.int64)
-
-    # ------------------------------------------------------------------
-    def _forward(self, origins: np.ndarray) -> MessageBatch | None:
-        """Send each token along a uniformly random port (one batch)."""
-        if origins.shape[0] == 0:
-            return None
-        _, targets = sample_port_targets(self.ports, self.rng, count=origins.shape[0])
-        return MessageBatch._raw(self.node_id, targets, TOKEN, origins)
-
-    def on_round_batch(self, round_no: int, inbox: MessageBatch) -> MessageBatch | None:
-        evolution, step = divmod(round_no, self._span)
-        if evolution >= self._num_evolutions:
-            return None
-
-        if step == 0:
-            # Launch Δ/8 own tokens (a fresh evolution starts).
-            return self._forward(self._own_tokens)
-
-        if step < self._ell:
-            return self._forward(inbox.payloads_of_kind(TOKEN))
-
-        if step == self._ell:
-            # Acceptance: answer up to 3Δ/8 tokens, chosen uniformly.
-            tokens = inbox.payloads_of_kind(TOKEN)
-            if tokens.shape[0] > self._accept_cap:
-                chosen = self.rng.choice(
-                    tokens.shape[0], size=self._accept_cap, replace=False
-                )
-                tokens = tokens[np.sort(chosen)]
-            if tokens.shape[0] == 0:
-                return None
-            self._next_accept_edges.append(tokens)
-            # Copy for the log: ``tokens`` may be a view into the engine's
-            # round buffer, which must not stay pinned for the whole run.
-            self.accepted_origins.append(tokens.copy())
-            return MessageBatch._raw(
-                self.node_id,
-                tokens,
-                ACCEPT,
-                np.full(tokens.shape[0], self.node_id, dtype=np.int64),
-            )
-
-        # step == ell + 1: collect replies, rebuild ports, pad self-loops.
-        replies = inbox.payloads_of_kind(ACCEPT)
-        if replies.shape[0]:
-            self._next_origin_edges.append(replies)
-        partners = (
-            np.concatenate(self._next_origin_edges + self._next_accept_edges)
-            if self._next_origin_edges or self._next_accept_edges
-            else np.empty(0, dtype=np.int64)
-        )
-        if partners.shape[0] > self._delta:
-            raise AssertionError(
-                f"node {self.node_id} assembled {partners.shape[0]} ports > Δ"
-            )
-        self.ports = np.concatenate(
-            [
-                partners,
-                np.full(self._delta - partners.shape[0], self.node_id, dtype=np.int64),
-            ]
-        )
-        self._next_origin_edges = []
-        self._next_accept_edges = []
-        self.evolutions_done = evolution + 1
-        return None
-
-    def is_idle(self) -> bool:
-        return self.evolutions_done >= self.params.num_evolutions
-
-
-def run_batch_expander(
-    graph,
-    params: ExpanderParams | None = None,
-    rng: np.random.Generator | None = None,
-    capacity: CapacityPolicy | None = None,
-    engine: str = "vectorized",
-    rng_mode: str = "spawn",
-) -> ProtocolRunResult:
-    """Execute ``CreateExpander`` with batched nodes on ``graph``.
-
-    Drop-in counterpart of
-    :func:`repro.core.protocol.run_protocol_expander`: same inputs, same
-    :class:`ProtocolRunResult`, same round schedule and capacity policy —
-    only the message representation (arrays vs. objects) differs.
-    ``engine`` selects the network delivery engine; running batch nodes on
-    the ``"legacy"`` engine is supported (messages are materialised at the
-    network boundary) and is how the differential tests cross-check the
-    vectorized delivery path.  ``rng_mode="shared"`` makes every node draw
-    from one shared generator in node-iteration order — the discipline
-    under which :func:`run_soa_expander` is bit-for-bit identical.
-    """
-    return run_expander_on_network(
-        BatchExpanderNode, graph, params, rng, capacity, engine, rng_mode
-    )
-
-
 class SoAExpanderClass(SoAProtocolClass):
     """Every NCC0 node of ``CreateExpander``, in structure-of-arrays form.
 
-    The third execution tier of the expander protocol: the whole
-    population's ports live in one ``(n, Δ)`` matrix, a round's resident
-    tokens are the inbox's flat ``(holder, origin)`` columns, and one
-    call forwards / accepts / rebuilds for all nodes.  The randomness
-    discipline is one flat ``rng.random(m)`` port draw per forwarding
-    round plus one ``rng.choice`` per over-full acceptor in ascending
-    node order — exactly the stream the per-node batch tier consumes
-    under ``rng_mode="shared"`` (sequential ``Generator.random(k)`` calls
-    concatenate into one stream), so
-    :func:`run_soa_expander` is **bit-for-bit** equal to
-    :func:`run_batch_expander` with a shared generator: same final port
-    matrix, same accepted-edge log, same metrics, same rounds.
+    The hot-path tier of the expander protocol: the whole population's
+    ports live in one ``(n, Δ)`` matrix, a round's resident tokens are
+    the inbox's flat ``(holder, origin)`` columns, and one call forwards
+    / accepts / rebuilds for all nodes.  The randomness discipline is one
+    flat ``rng.random(m)`` port draw per forwarding round plus one
+    ``rng.choice`` per over-full acceptor in ascending node order —
+    exactly the stream object :class:`~repro.core.protocol.ExpanderNode`
+    populations consume under ``rng_mode="shared"`` (sequential
+    ``Generator.random(k)`` calls concatenate into one stream), so
+    :func:`run_soa_expander` is **bit-for-bit** equal to the object run
+    with a shared generator: same final port matrix, same accepted-edge
+    log, same metrics, same rounds.
     """
 
     def __init__(
@@ -215,7 +69,7 @@ class SoAExpanderClass(SoAProtocolClass):
         delta = params.delta
         # MakeBenign, population-wide: copy each incident edge Λ times,
         # pad with self-loops to degree Δ (same per-node layout — sorted
-        # neighbours, copies adjacent — as the per-node tiers).
+        # neighbours, copies adjacent — as the object nodes).
         deg = np.fromiter((len(nb) for nb in neighbors), dtype=np.int64, count=n)
         copied = deg * params.lam
         if (copied > delta // 2).any():
@@ -239,7 +93,7 @@ class SoAExpanderClass(SoAProtocolClass):
             self.ports[rows, cols] = flat
         self.evolutions_done = 0
         #: Per-evolution ``(acceptors, origins)`` columns — the columnar
-        #: counterpart of the per-node ``accepted_origins`` logs.
+        #: counterpart of the object nodes' ``accepted_log``.
         self.accepted_log: list[tuple[np.ndarray, np.ndarray]] = []
         self._accept_nodes = self._accept_partners = _EMPTY_COL
         self._reply_nodes = self._reply_partners = _EMPTY_COL
@@ -253,7 +107,7 @@ class SoAExpanderClass(SoAProtocolClass):
     # ------------------------------------------------------------------
     def _forward(self, holders: np.ndarray, origins: np.ndarray) -> MessageBatch | None:
         """One uniformly random port draw per resident token, all nodes at
-        once (the flat-stream equivalent of the batch tier's row mode)."""
+        once (the flat-stream equivalent of the object nodes' row mode)."""
         m = holders.shape[0]
         if m == 0:
             return None
@@ -276,7 +130,7 @@ class SoAExpanderClass(SoAProtocolClass):
         if step == self._ell:
             # Acceptance: every holder answers up to 3Δ/8 of its tokens,
             # chosen uniformly — one ``rng.choice`` per over-full holder,
-            # ascending (= the shared-generator batch order).
+            # ascending (= the shared-generator node order).
             tok = inbox.of_kind(TOKEN)
             m = len(tok)
             if m == 0:
@@ -312,7 +166,7 @@ class SoAExpanderClass(SoAProtocolClass):
             self._reply_nodes = rep.receivers
             self._reply_partners = rep.payloads
         # Per node: reply partners first, then accepted-token partners —
-        # the per-node tiers' concatenation order, recovered here by a
+        # the object nodes' concatenation order, recovered here by a
         # stable sort over [replies ‖ accepts].
         part_nodes = np.concatenate([self._reply_nodes, self._accept_nodes])
         part_vals = np.concatenate([self._reply_partners, self._accept_partners])
@@ -348,20 +202,24 @@ def run_soa_expander(
     rng: np.random.Generator | None = None,
     capacity: CapacityPolicy | None = None,
     engine: str = "vectorized",
+    *,
+    ctx: RunContext | None = None,
 ) -> ProtocolRunResult:
     """Execute ``CreateExpander`` as one SoA protocol class on ``graph``.
 
-    Drop-in counterpart of :func:`run_batch_expander`: same inputs, same
+    Drop-in counterpart of
+    :func:`repro.core.protocol.run_protocol_expander`: same inputs, same
     :class:`ProtocolRunResult`, same schedule and capacity policy.  The
     randomness discipline is the shared-generator one (``rng.spawn(2)``
     into a protocol stream and a network stream), so the run is
     bit-for-bit identical to
-    ``run_batch_expander(..., rng_mode="shared")`` under the same seed —
-    pinned by ``tests/core/test_soa_engines.py``.  Against the default
-    per-node-spawned batch/object runs the comparison is structural
-    (schedule, metrics shape, benign invariants), exactly as between the
-    object and batch tiers themselves, whose streams also intentionally
-    differ.  SoA classes run on the vectorized delivery engine only.
+    ``run_expander_on_network(ExpanderNode, ..., rng_mode="shared")``
+    under the same seed — pinned by ``tests/core/test_soa_engines.py``.
+    Against the default per-node-spawned object run the comparison is
+    structural (schedule, metrics shape, benign invariants).  SoA classes
+    run on the vectorized delivery engine only.  A resolved ``ctx``
+    (:class:`~repro.runtime.context.RunContext`) is threaded into the
+    network (tracer, workers, fault hook).
     """
     if engine != "vectorized":
         raise ValueError(
@@ -372,7 +230,7 @@ def run_soa_expander(
     n, neighbors, params, capacity = prepare_network_inputs(graph, params, capacity)
     proto_rng, net_rng = rng.spawn(2)
     cls = SoAExpanderClass(n, neighbors, params, proto_rng)
-    network = SyncNetwork(cls, capacity, net_rng, engine=engine)
+    network = SyncNetwork(cls, capacity, net_rng, engine=engine, ctx=ctx)
     total_rounds = params.num_evolutions * (params.ell + 2)
     metrics = network.run(max_rounds=total_rounds + 1)
     return ProtocolRunResult(

@@ -38,7 +38,6 @@ __all__ = [
     "rooting_flood_rounds",
     "ROOTING_MODES",
     "EXPANDER_MODES",
-    "HYBRID_MODES",
 ]
 
 
@@ -56,21 +55,16 @@ def rooting_flood_rounds(n: int) -> int:
     return 2 * max(1, math.ceil(math.log2(max(2, n)))) + 2
 
 #: How step 3 (rooting) executes: ``"reference"`` runs the centralised
-#: adjacency-loop oracle of :mod:`repro.core.bfs`; ``"protocol"``,
-#: ``"batch"``, and ``"soa"`` run the real message-level protocol on the
-#: NCC0 simulator (object nodes, batched int64 columns, or the
-#: structure-of-arrays class of :mod:`repro.core.soa_rooting`).  All four
-#: produce the identical tree; ``"soa"`` is what keeps the pipeline
-#: practical at ``n ≥ 10⁶``.  Authoritative in
-#: :mod:`repro.runtime.context` (a leaf package, so the old
-#: cycle-avoiding mirror literal for the hybrid tuple is gone);
-#: re-exported here for compatibility, alongside ``EXPANDER_MODES`` (how
-#: step 2, ``CreateExpander``, executes: the fast ``"walks"`` array
-#: engine or the message-level tiers) and ``HYBRID_MODES`` (the §4
-#: hybrid pipeline tiers — the same tuple as
-#: ``repro.hybrid.components.HYBRID_TIERS``).
+#: adjacency-loop oracle of :mod:`repro.core.bfs`; ``"protocol"`` and
+#: ``"soa"`` run the real message-level protocol on the NCC0 simulator
+#: (object nodes, or the structure-of-arrays class of
+#: :mod:`repro.core.soa_rooting`).  All three produce the identical tree;
+#: ``"soa"`` is what keeps the pipeline practical at ``n ≥ 10⁶``.
+#: Authoritative in :mod:`repro.runtime.context`; re-exported here
+#: alongside ``EXPANDER_MODES`` (how step 2, ``CreateExpander``,
+#: executes: the fast ``"walks"`` array engine or the message-level
+#: tiers).
 from repro.runtime import EXPANDER_MODES, ROOTING_MODES, RunContext  # noqa: E402
-from repro.runtime import HYBRID_TIERS as HYBRID_MODES  # noqa: E402
 
 
 def _rooting_forest(
@@ -80,16 +74,12 @@ def _rooting_forest(
     ctx: RunContext | None = None,
 ) -> BFSForest:
     """Run the message-level rooting phase and adapt it to a BFSForest."""
-    from repro.core.protocol_tree import run_batch_rooting, run_protocol_rooting
+    from repro.core.protocol_tree import run_protocol_rooting
     from repro.core.soa_rooting import run_soa_rooting
 
     n = graph.n
     flood_rounds = rooting_flood_rounds(n)
-    runner = {
-        "batch": run_batch_rooting,
-        "soa": run_soa_rooting,
-        "protocol": run_protocol_rooting,
-    }[mode]
+    runner = {"soa": run_soa_rooting, "protocol": run_protocol_rooting}[mode]
     try:
         result = runner(graph, flood_rounds=flood_rounds, rng=rng, ctx=ctx)
     except RuntimeError as exc:
@@ -158,7 +148,9 @@ class OverlayBuildResult:
         return diameter(self.expander.final_graph.neighbor_sets())
 
 
-def _message_level_expander(graph, mode: str, params, rng) -> ExpanderResult:
+def _message_level_expander(
+    graph, mode: str, params, rng, ctx: RunContext | None = None
+) -> ExpanderResult:
     """Run ``CreateExpander`` message-by-message and adapt the outcome to
     the :class:`ExpanderResult` shape the rest of the pipeline consumes.
 
@@ -166,15 +158,11 @@ def _message_level_expander(graph, mode: str, params, rng) -> ExpanderResult:
     nodes only keep their final ports), so ``history`` is empty and the
     round charge comes from the metrics' actual NCC0 round count.
     """
-    from repro.core.batch_protocol import run_batch_expander, run_soa_expander
+    from repro.core.batch_protocol import run_soa_expander
     from repro.core.protocol import run_protocol_expander
 
-    runner = {
-        "protocol": run_protocol_expander,
-        "batch": run_batch_expander,
-        "soa": run_soa_expander,
-    }[mode]
-    result = runner(graph, params=params, rng=rng)
+    runner = {"protocol": run_protocol_expander, "soa": run_soa_expander}[mode]
+    result = runner(graph, params=params, rng=rng, ctx=ctx)
     return ExpanderResult(
         final_graph=result.final_graph,
         history=[],
@@ -221,9 +209,9 @@ def build_well_formed_tree(
     rooting:
         One of :data:`ROOTING_MODES`: the centralised ``"reference"``
         oracle (default), or the message-level ``"protocol"`` /
-        ``"batch"`` / ``"soa"`` executions on the NCC0 simulator.  All
-        four build the identical tree; the SoA tier avoids per-node
-        Python calls entirely at large ``n``.
+        ``"soa"`` executions on the NCC0 simulator.  All three build
+        the identical tree; the SoA tier avoids per-node Python calls
+        entirely at large ``n``.
     expander:
         One of :data:`EXPANDER_MODES`: the fast ``"walks"`` array engine
         (default), or the message-level tiers on the NCC0 simulator.
@@ -276,7 +264,7 @@ def build_well_formed_tree(
                 'the "walks" expander mode (message-level nodes keep no '
                 "evolution history)"
             )
-        expander_result = _message_level_expander(graph, expander, params, rng)
+        expander_result = _message_level_expander(graph, expander, params, rng, ctx)
     message_level = expander != "walks"
 
     if verify_benign:

@@ -30,9 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.params import ExpanderParams
+from repro.core.walks import sample_port_targets
 from repro.net.message import Message
 from repro.net.network import CapacityPolicy, NetworkMetrics, ProtocolNode, SyncNetwork
 from repro.graphs.portgraph import PortGraph
+from repro.runtime import RunContext
 
 __all__ = [
     "ExpanderNode",
@@ -82,12 +84,21 @@ class ExpanderNode(ProtocolNode):
         return round_no // span, round_no % span
 
     def _forward(self, origins: list[int]) -> list[Message]:
-        """Send each token along a uniformly random port."""
-        out: list[Message] = []
-        for origin in origins:
-            port = self.ports[int(self.rng.integers(0, self.params.delta))]
-            out.append(Message(self.node_id, port, "token", origin))
-        return out
+        """Send each token along a uniformly random port.
+
+        One row-mode draw of :func:`repro.core.walks.sample_port_targets`
+        for all resident tokens — the same stream the SoA tier's flat
+        per-round draw consumes under a shared generator.
+        """
+        if not origins:
+            return []
+        _, targets = sample_port_targets(
+            np.asarray(self.ports, dtype=np.int64), self.rng, count=len(origins)
+        )
+        return [
+            Message(self.node_id, port, "token", origin)
+            for port, origin in zip(targets.tolist(), origins)
+        ]
 
     def on_round(self, round_no: int, inbox: list[Message]) -> list[Message]:
         evolution, step = self._phase(round_no)
@@ -154,7 +165,7 @@ def prepare_network_inputs(
 
     Computes node count, adjacency lists, calibrated parameters, and the
     NCC0 capacity policy from an undirected networkx graph.  Used by both
-    the per-message runner below and the batched runner in
+    the object runner below and the SoA runner in
     :mod:`repro.core.batch_protocol`.
     """
     from repro.core.benign import undirected_edge_list
@@ -200,13 +211,16 @@ def run_expander_on_network(
     capacity: CapacityPolicy | None = None,
     engine: str = "vectorized",
     rng_mode: str = "spawn",
+    *,
+    ctx: RunContext | None = None,
 ) -> ProtocolRunResult:
-    """Shared scaffold for network-driven ``CreateExpander`` runs.
+    """Shared scaffold for node-driven ``CreateExpander`` runs.
 
     ``node_factory(node_id, neighbors, params, rng)`` builds one protocol
-    node; everything else (parameter calibration, RNG discipline, round
-    budget, final-graph assembly) is identical between the per-message
-    and batched node implementations.
+    node; the scaffold owns parameter calibration, the RNG discipline,
+    the round budget and final-graph assembly.  A resolved ``ctx``
+    (:class:`~repro.runtime.context.RunContext`) is threaded into the
+    network (tracer, workers, fault hook); ``engine`` still wins.
 
     ``rng_mode`` selects the randomness discipline:
 
@@ -218,7 +232,7 @@ def run_expander_on_network(
       concatenate into one stream, this is exactly the discipline of the
       SoA tier's single flat draw per round — which is what makes
       :func:`repro.core.batch_protocol.run_soa_expander` bit-for-bit
-      comparable against batched nodes under matched seeds.
+      equal to :class:`ExpanderNode` runs under matched seeds.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -236,7 +250,7 @@ def run_expander_on_network(
     nodes = {
         v: node_factory(v, neighbors[v], params, node_rng(v)) for v in range(n)
     }
-    network = SyncNetwork(nodes, capacity, net_rng, engine=engine)
+    network = SyncNetwork(nodes, capacity, net_rng, engine=engine, ctx=ctx)
     total_rounds = params.num_evolutions * (params.ell + 2)
     metrics = network.run(max_rounds=total_rounds + 1)
 
@@ -255,6 +269,8 @@ def run_protocol_expander(
     rng: np.random.Generator | None = None,
     capacity: CapacityPolicy | None = None,
     engine: str = "vectorized",
+    *,
+    ctx: RunContext | None = None,
 ) -> ProtocolRunResult:
     """Execute ``CreateExpander`` message-by-message on ``graph``.
 
@@ -264,6 +280,9 @@ def run_protocol_expander(
     the final evolution graph assembled from the acceptors' edge records,
     plus full network metrics.  ``engine`` selects the network delivery
     engine (``"legacy"`` is the per-message oracle; both engines produce
-    identical executions under the same seed).
+    identical executions under the same seed).  ``ctx`` is threaded into
+    the network, as in :func:`run_expander_on_network`.
     """
-    return run_expander_on_network(ExpanderNode, graph, params, rng, capacity, engine)
+    return run_expander_on_network(
+        ExpanderNode, graph, params, rng, capacity, engine, ctx=ctx
+    )

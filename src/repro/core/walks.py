@@ -45,12 +45,13 @@ def sample_port_targets(
       seeded histories);
     - **row mode** (``count`` given): ``ports`` is a single node's
       ``(Δ,)`` port row and the draw forwards the ``count`` tokens
-      currently resident at that node — the batch protocol node's inner
-      loop.  Uses ``⌊uniform·Δ⌋`` instead: at per-node call granularity
-      the ``Generator.integers`` wrapper overhead dominates the whole
-      protocol run, and the scaled-uniform draw is equidistributed up to
-      float rounding (≈``2⁻⁵³·Δ`` bias, far below anything the
-      chi-square suites could detect).
+      currently resident at that node — the object expander node's
+      inner loop, whose shared-generator stream the SoA tier's flat draw
+      reproduces.  Uses ``⌊uniform·Δ⌋`` instead: at per-node call
+      granularity the ``Generator.integers`` wrapper overhead dominates
+      the whole protocol run, and the scaled-uniform draw is
+      equidistributed up to float rounding (≈``2⁻⁵³·Δ`` bias, far below
+      anything the chi-square suites could detect).
 
     Returns ``(choices, targets)``: the port index each token picked and
     the node it lands on.

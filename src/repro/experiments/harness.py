@@ -24,30 +24,18 @@ __all__ = [
     "loglog_slope",
     "geometric_sizes",
     "ENGINE_CHOICES",
-    "TIER_CHOICES",
-    "ROOTING_CHOICES",
-    "EXPANDER_CHOICES",
-    "HYBRID_CHOICES",
     "select_tier",
     "tier_filter",
-    "select_engine",
-    "select_rooting",
     "select_workers",
     "add_engine_argument",
     "add_workers_argument",
 ]
 
-#: Choice vocabularies, re-exported from :mod:`repro.runtime` — the
-#: single source of truth for every execution-stack dimension (contract
-#: C8).  ``ENGINE_CHOICES`` are the delivery engines of
-#: :class:`repro.net.network.SyncNetwork`; ``TIER_CHOICES`` adds
-#: ``"soa"`` — structure-of-arrays protocol classes on the vectorized
-#: delivery path (one Python call advances all nodes).
+#: The delivery engines of :class:`repro.net.network.SyncNetwork` — the
+#: default ``--engine`` choices.  Every other choice vocabulary lives in
+#: :mod:`repro.runtime`, the single source of truth for every
+#: execution-stack dimension (contract C8).
 from repro.runtime import ENGINES as ENGINE_CHOICES  # noqa: E402
-from repro.runtime import TIER_CHOICES  # noqa: E402
-from repro.runtime import EXPANDER_MODES as EXPANDER_CHOICES  # noqa: E402
-from repro.runtime import HYBRID_TIERS as HYBRID_CHOICES  # noqa: E402
-from repro.runtime import ROOTING_MODES as ROOTING_CHOICES  # noqa: E402
 
 #: The benchmark-selectable dimensions (env var, fallback default, choice
 #: tuple per kind) — kept importable for tests and bench scripts, backed
@@ -98,20 +86,6 @@ def tier_filter(
     if _choice_specified(kind, cli_value):
         return select_tier(kind, cli_value, choices=choices)
     return None
-
-
-def select_engine(
-    cli_value: str | None = None,
-    default: str = "vectorized",
-    choices: tuple[str, ...] = ENGINE_CHOICES,
-) -> str:
-    """Back-compat wrapper: ``select_tier("engine", ...)``."""
-    return select_tier("engine", cli_value, default=default, choices=choices)
-
-
-def select_rooting(cli_value: str | None = None, default: str = "reference") -> str:
-    """Back-compat wrapper: ``select_tier("rooting", ...)``."""
-    return select_tier("rooting", cli_value, default=default)
 
 
 def add_engine_argument(parser, choices: tuple[str, ...] = ENGINE_CHOICES) -> None:

@@ -148,7 +148,7 @@ class PortGraph:
         chord sets (expansion), so every node has degree
         ``≤ 2 + 2·chords`` regardless of ``n``.
 
-        The shared workload family of the S2/S3 rooting benchmarks and
+        The shared workload family of the S3–S5 rooting benchmarks and
         the SoA differential/property suites — their cross-checks assume
         they all sample the *same* family, so the construction lives
         here once.

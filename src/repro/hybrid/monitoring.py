@@ -47,7 +47,7 @@ class MonitorReport:
 #: same mode set as the pipeline's rooting step (single source of
 #: truth).  ``"reference"`` runs the centralised BFS oracle; the others
 #: execute the real rooting protocol on the NCC0 simulator at the chosen
-#: tier.  All four build the identical tree (min-id root, min-id parent
+#: tier.  All three build the identical tree (min-id root, min-id parent
 #: tie-break), so every monitor answer and round charge agrees —
 #: smoke-tested in ``tests/hybrid/test_monitoring.py``.
 from repro.core.pipeline import ROOTING_MODES  # noqa: E402
@@ -92,7 +92,7 @@ class NetworkMonitor:
                 raise ValueError("monitoring requires a connected network")
             return RootedTree(root=bfs.roots[0], parent=bfs.parent.copy())
 
-        from repro.core.protocol_tree import run_batch_rooting, run_protocol_rooting
+        from repro.core.protocol_tree import run_protocol_rooting
         from repro.core.soa_rooting import run_soa_rooting
         from repro.graphs.analysis import diameter, is_connected
         from repro.graphs.portgraph import PortGraph
@@ -109,11 +109,7 @@ class NetworkMonitor:
         pg = PortGraph.from_edge_multiset(
             n=n, delta=delta, endpoints_a=ends_a, endpoints_b=ends_b
         )
-        runner = {
-            "protocol": run_protocol_rooting,
-            "batch": run_batch_rooting,
-            "soa": run_soa_rooting,
-        }[rooting]
+        runner = {"protocol": run_protocol_rooting, "soa": run_soa_rooting}[rooting]
         result = runner(pg, flood_rounds=max(1, diameter(self.adj)))
         return RootedTree(root=result.root, parent=result.parent.copy())
 

@@ -16,7 +16,6 @@ from repro.net.message import Message
 from repro.net.batch import KINDS, MessageBatch
 from repro.net.network import (
     ENGINES,
-    BatchProtocolNode,
     CapacityPolicy,
     NetworkMetrics,
     ProtocolNode,
@@ -33,7 +32,6 @@ __all__ = [
     "CapacityPolicy",
     "NetworkMetrics",
     "ProtocolNode",
-    "BatchProtocolNode",
     "SoAProtocolClass",
     "SoAInbox",
     "SyncNetwork",

@@ -29,8 +29,8 @@ Two contracts are enforced here (both regression-tested in
   out via ``require_quiescence=False`` get ``report.converged == False``
   instead of a silently truncated run.
 
-All three node representations run here: object and batch nodes through
-the per-node loop below, and :class:`~repro.net.soa.SoAProtocolClass`
+Both node representations run here: object nodes through the per-node
+loop below, and :class:`~repro.net.soa.SoAProtocolClass`
 populations through the columnar synchroniser of
 :mod:`repro.scenarios.soa_sync` (a flat delay queue over the staged
 inbox columns — one Python call per round regardless of ``n``), to which
@@ -101,17 +101,15 @@ def run_with_asynchrony(
     — the function runs the protocol on the standard :class:`SyncNetwork`
     while accounting the asynchronous clock, and reports the dilation.
 
-    ``engine`` selects the delivery engine; batch nodes on the default
-    ``"vectorized"`` engine never materialise per-message objects, so
-    delayed large-``n`` workloads run at batched speed.  Passing a
+    ``engine`` selects the delivery engine of object nodes.  Passing a
     :class:`~repro.net.soa.SoAProtocolClass` as ``nodes`` dispatches to
     the columnar SoA synchroniser (:mod:`repro.scenarios.soa_sync`),
     whose flat delay queue materialises per-message release times without
     any per-node Python work — bit-for-bit the same execution, at SoA
     speed.  ``fault_hook`` installs an oblivious message adversary on the
     network (see :class:`SyncNetwork`).  ``workers`` shards the SoA
-    delivery tail (``None`` → ``REPRO_WORKERS``); the per-node tiers
-    ignore it, and every worker count yields the identical execution.
+    delivery tail (``None`` → ``REPRO_WORKERS``); object nodes ignore
+    it, and every worker count yields the identical execution.
     ``tracer`` records a per-round trace (:mod:`repro.obs`) — pure
     observation, so a traced run is bit-for-bit the untraced one.  A
     resolved ``ctx`` (:class:`~repro.runtime.context.RunContext`)

@@ -34,11 +34,14 @@ cap, and self-addressed messages bypass the network entirely.  Under the
 same seed the two engines therefore deliver *identical* inboxes and
 metrics, which ``tests/net/test_engine_equivalence.py`` enforces.
 
-Nodes come in two flavours: :class:`ProtocolNode` (per-message objects)
-and :class:`BatchProtocolNode` (array batches, see
-:mod:`repro.net.batch`).  Either kind runs on either engine; batch nodes
-on the vectorized engine never materialise Python message objects, which
-is what makes large-``n`` runs practical.
+Populations come in two representations: a dict of :class:`ProtocolNode`
+objects exchanging per-message objects (the plainly written oracle, on
+either engine), or one :class:`~repro.net.soa.SoAProtocolClass` holding
+every node's state in columns and emitting one
+:class:`~repro.net.batch.MessageBatch` per round (the hot path, on the
+vectorized engine).  Both feed the same flat delivery tail, so SoA
+populations never materialise Python message objects — which is what
+makes large-``n`` runs practical.
 """
 
 from __future__ import annotations
@@ -50,10 +53,10 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro import sanitize as _sanitize
-from repro.net.batch import KINDS, MessageBatch, pair_payload
+from repro.net.batch import MessageBatch
 from repro.net.message import Message
 from repro.net.soa import SoAInbox, SoAProtocolClass
-from repro.net.vectorops import group_argsort, needs_truncation, segmented_keep_indices
+from repro.net.vectorops import group_argsort, segmented_keep_indices
 
 #: Valid values for ``SyncNetwork(engine=...)`` — authoritative in
 #: :mod:`repro.runtime.context`, re-exported here for compatibility.
@@ -65,7 +68,6 @@ __all__ = [
     "NodeCounts",
     "RoundMetricsView",
     "ProtocolNode",
-    "BatchProtocolNode",
     "SoAProtocolClass",
     "SoAInbox",
     "SyncNetwork",
@@ -448,28 +450,6 @@ class ProtocolNode:
         return True
 
 
-class BatchProtocolNode(ProtocolNode):
-    """A node that exchanges :class:`~repro.net.batch.MessageBatch` arrays.
-
-    The engines deliver a ``MessageBatch`` inbox and expect a
-    ``MessageBatch`` (or ``None``) back from :meth:`on_round_batch`; the
-    implicit sender of every emitted message is the node itself (scalar
-    ``senders`` recommended — forging another sender raises, exactly as
-    for object nodes).  Payloads are single ``int64`` values, or
-    ``(int64, int64)`` pairs via the optional ``payloads2`` lane — either
-    way matching the paper's ``O(log n)``-bit packets.
-    """
-
-    def on_round_batch(self, round_no: int, inbox: MessageBatch) -> MessageBatch | None:
-        raise NotImplementedError
-
-    def on_round(self, round_no: int, inbox: list[Message]) -> Iterable[Message]:
-        # Object-world bridge (engines dispatch on the class and never use
-        # it; handy for driving a batch node directly in tests).
-        out = self.on_round_batch(round_no, MessageBatch.from_messages(inbox))
-        return [] if out is None else out.to_messages()
-
-
 class SyncNetwork:
     """Round-driven simulator with capacity enforcement and metrics.
 
@@ -539,7 +519,7 @@ class SyncNetwork:
         self._metrics = NetworkMetrics()
         if isinstance(nodes, SoAProtocolClass):
             # SoA tier: one object holds every node's state; delivery runs
-            # through the same vectorized flat tail as batch traffic.
+            # through the same vectorized flat tail as object traffic.
             if engine != "vectorized":
                 raise ValueError(
                     "SoA protocol classes require the vectorized engine"
@@ -554,9 +534,7 @@ class SyncNetwork:
             self._contiguous = True
             # Per-node bookkeeping stays empty on the SoA path — run_round
             # short-circuits into _deliver_soa and never consults it.
-            self._is_batch = {}
-            self._any_batch = False
-            self._pending: dict[int, list[Message] | MessageBatch] = {}
+            self._pending: dict[int, list[Message]] = {}
         else:
             self._soa = None
             self.nodes = nodes
@@ -572,14 +550,7 @@ class SyncNetwork:
             if not self._contiguous:
                 self._sort_order = np.argsort(self._ids, kind="stable")
                 self._sorted_ids = self._ids[self._sort_order]
-            self._is_batch = {
-                nid: isinstance(node, BatchProtocolNode) for nid, node in nodes.items()
-            }
-            self._any_batch = any(self._is_batch.values())
-            self._pending = {
-                nid: (MessageBatch.empty() if self._is_batch[nid] else [])
-                for nid in nodes
-            }
+            self._pending = {nid: [] for nid in nodes}
         # Vectorized engines accumulate per-node totals in arrays and flush
         # them into the metrics dicts lazily (see the ``metrics`` property).
         self._sent_counts = np.zeros(n, dtype=np.int64)
@@ -610,11 +581,7 @@ class SyncNetwork:
         self._shard_ops_seen = 0
         self._layout_hit = False
         if tr is not None:
-            tier = (
-                "soa"
-                if self._soa is not None
-                else ("batch" if self._any_batch else "object")
-            )
+            tier = "soa" if self._soa is not None else "object"
             self._trace_clock = tr.clock
             self._round_trace = tr.table(
                 "net",
@@ -760,38 +727,20 @@ class SyncNetwork:
             self._metrics.rounds = self.round_no
             return
 
-        outputs: list[tuple[int, list[Message] | MessageBatch]] = []
+        outputs: list[tuple[int, list[Message]]] = []
         pending = self._pending
-        is_batch = self._is_batch
-        empty = MessageBatch.empty()
         round_no = self.round_no
         for nid, node in self.nodes.items():
             inbox = pending[nid]
-            if is_batch[nid]:
-                pending[nid] = empty
-                produced = node.on_round_batch(round_no, inbox)
-                if produced is not None and produced.receivers.shape[0]:
-                    senders = produced.senders
-                    bad = (
-                        bool((senders != nid).any())
-                        if type(senders) is np.ndarray
-                        else senders != nid
-                    )
-                    if bad:
+            pending[nid] = []
+            produced = list(node.on_round(round_no, inbox) or [])
+            if produced:
+                for msg in produced:
+                    if msg.sender != nid:
                         raise ValueError(
-                            f"node {nid} attempted to forge a message from another sender"
+                            f"node {nid} attempted to forge a message from {msg.sender}"
                         )
-                    outputs.append((nid, produced))
-            else:
-                pending[nid] = []
-                produced = list(node.on_round(round_no, inbox) or [])
-                if produced:
-                    for msg in produced:
-                        if msg.sender != nid:
-                            raise ValueError(
-                                f"node {nid} attempted to forge a message from {msg.sender}"
-                            )
-                    outputs.append((nid, produced))
+                outputs.append((nid, produced))
 
         if self.engine == "legacy":
             self._deliver_legacy(outputs)
@@ -849,8 +798,7 @@ class SyncNetwork:
         flat_senders: list[int] = []
         local: dict[int, list[Message]] = {}
         for nid, produced in outputs:
-            msgs = produced.to_messages() if isinstance(produced, MessageBatch) else produced
-            for msg in msgs:
+            for msg in produced:
                 if msg.receiver == nid:
                     local.setdefault(nid, []).append(msg)
                 else:
@@ -930,205 +878,43 @@ class SyncNetwork:
             max_received = max(max_received, len(msgs))
         metrics.max_received_per_round = max(metrics.max_received_per_round, max_received)
 
+        pending = self._pending
         for nid, msgs in local.items():
-            self._stage_inbox(nid, msgs)
+            pending[nid].extend(msgs)
         for idx, msgs in groups.items():
-            self._stage_inbox(int(ids[idx]), msgs)
+            pending[int(ids[idx])].extend(msgs)
         self._pending_count = len(flat) + sum(len(msgs) for msgs in local.values())
-
-    def _stage_inbox(self, nid: int, msgs: list[Message]) -> None:
-        if self._is_batch[nid]:
-            existing = self._pending[nid]
-            addition = MessageBatch.from_messages(msgs)
-            self._pending[nid] = (
-                addition if len(existing) == 0 else MessageBatch.concat([existing, addition])
-            )
-        else:
-            self._pending[nid].extend(msgs)
 
     # ------------------------------------------------------------------
     # Vectorized engine: flat index buffers + segment truncation.
     # ------------------------------------------------------------------
     def _deliver_vectorized(self, outputs) -> None:
-        """Array-path delivery (pack phase).
+        """Array-path delivery of object traffic (pack phase).
 
-        The round's traffic is packed into flat parallel columns (sender
-        index, receiver id, kind code, payload) in canonical order and
-        handed to :meth:`_deliver_flat` — the shared tail that also
-        serves the SoA tier, so every representation consumes the
+        The round's receivers are packed into one flat column in canonical
+        order, next to the sender indices and the message objects
+        themselves, and handed to :meth:`_deliver_flat` — the shared tail
+        that also serves the SoA tier, so both representations consume the
         delivery RNG identically.
         """
-        index = self._index
-        build_codes = self._any_batch
-
-        # ---- pack ------------------------------------------------------
-        # The dominant case (pure batch traffic, one message kind per
-        # round — exactly what the protocol schedule produces) skips the
-        # kind column entirely: ``round_kind`` carries the single code.
-        rcv_chunks: list[np.ndarray] = []
-        chunk_sender: list[int] = []
-        chunk_len: list[int] = []
-        obj_chunks: list[list[Message] | None] = []
-        kind_chunks: list = []  # array or scalar per chunk
-        pay_chunks: list = []
-        pay_ok_chunks: list = []  # True (all ok) or bool array
-        pay2_chunks: list = []  # None (no lane) or int64 array per chunk
-        has2_chunks: list = []  # False / True (whole chunk) or bool array
-        any_objs = False
-        any_pay_bad = False
-        any_pay2 = False
-        round_kind: int | None = None
-        uniform_kinds = True
-
-        for nid, produced in outputs:
-            if type(produced) is list:
-                k = len(produced)
-                rcv_chunks.append(
-                    np.fromiter((m.receiver for m in produced), dtype=np.int64, count=k)
-                )
-                chunk_sender.append(index[nid])
-                chunk_len.append(k)
-                obj_chunks.append(produced)
-                any_objs = True
-                uniform_kinds = False
-                if build_codes:
-                    kind_chunks.append(
-                        np.fromiter(
-                            (KINDS.code(m.kind) for m in produced), dtype=np.int64, count=k
-                        )
-                    )
-                    pays = np.zeros(k, dtype=np.int64)
-                    ok = np.ones(k, dtype=bool)
-                    pays2 = None
-                    has2 = None
-                    for i, m in enumerate(produced):
-                        if isinstance(m.payload, (int, np.integer)):
-                            pays[i] = int(m.payload)
-                        else:
-                            pair = pair_payload(m.payload)
-                            if pair is None:
-                                ok[i] = False
-                                any_pay_bad = True
-                            else:
-                                if pays2 is None:
-                                    pays2 = np.zeros(k, dtype=np.int64)
-                                    has2 = np.zeros(k, dtype=bool)
-                                pays[i], pays2[i] = pair
-                                has2[i] = True
-                    pay_chunks.append(pays)
-                    pay_ok_chunks.append(True if ok.all() else ok)
-                    if pays2 is None:
-                        pay2_chunks.append(None)
-                        has2_chunks.append(False)
-                    else:
-                        any_pay2 = True
-                        pay2_chunks.append(pays2)
-                        has2_chunks.append(True if has2.all() else has2)
-                else:
-                    kind_chunks.append(0)
-                    pay_chunks.append(None)
-                    pay_ok_chunks.append(True)
-                    pay2_chunks.append(None)
-                    has2_chunks.append(False)
-            else:
-                kinds = produced.kinds
-                if type(kinds) is np.ndarray:
-                    uniform_kinds = False
-                elif round_kind is None:
-                    round_kind = kinds
-                elif kinds != round_kind:
-                    uniform_kinds = False
-                rcv_chunks.append(produced.receivers)
-                chunk_sender.append(index[nid])
-                chunk_len.append(produced.receivers.shape[0])
-                obj_chunks.append(None)
-                kind_chunks.append(kinds)
-                pay_chunks.append(produced.payloads)
-                pay_ok_chunks.append(True)
-                pay2_chunks.append(produced.payloads2)
-                if produced.payloads2 is None:
-                    has2_chunks.append(False)
-                else:
-                    any_pay2 = True
-                    has2_chunks.append(True)
-
-        if not rcv_chunks:
+        if not outputs:
             self._pending_count = 0
             return
-        uniform_kinds = uniform_kinds and round_kind is not None
-
-        # ---- flatten ---------------------------------------------------
-        rcv_all = rcv_chunks[0] if len(rcv_chunks) == 1 else np.concatenate(rcv_chunks)
+        index = self._index
+        objs: list[Message] = []
+        senders: list[int] = []
+        lengths: list[int] = []
+        for nid, produced in outputs:
+            objs.extend(produced)
+            senders.append(index[nid])
+            lengths.append(len(produced))
+        rcv_all = np.fromiter(
+            (m.receiver for m in objs), dtype=np.int64, count=len(objs)
+        )
         snd_all = np.repeat(
-            np.asarray(chunk_sender, dtype=np.int64),
-            np.asarray(chunk_len, dtype=np.int64),
+            np.asarray(senders, dtype=np.int64), np.asarray(lengths, dtype=np.int64)
         )
-        m_total = rcv_all.shape[0]
-
-        objs: list[Message | None] | None = None
-        if any_objs:
-            objs = []
-            for length, rem in zip(chunk_len, obj_chunks):
-                objs.extend(rem if rem is not None else [None] * length)
-
-        kind_all = pay_all = pay_ok_all = None
-        if uniform_kinds:
-            # Pure-batch uniform round: payload column by concatenation,
-            # no kind column at all.
-            pay_all = (
-                pay_chunks[0] if len(pay_chunks) == 1 else np.concatenate(pay_chunks)
-            )
-        elif build_codes:
-            kind_all = np.empty(m_total, dtype=np.int64)
-            pay_all = np.empty(m_total, dtype=np.int64)
-            offset = 0
-            for length, kinds, pays in zip(chunk_len, kind_chunks, pay_chunks):
-                kind_all[offset : offset + length] = kinds
-                if pays is not None:
-                    pay_all[offset : offset + length] = pays
-                offset += length
-            if any_pay_bad:
-                pay_ok_all = np.ones(m_total, dtype=bool)
-                offset = 0
-                for length, ok in zip(chunk_len, pay_ok_chunks):
-                    if ok is not True:
-                        pay_ok_all[offset : offset + length] = ok
-                    offset += length
-
-        # ---- secondary payload lane (pair payloads) --------------------
-        # ``pay2_all`` zero-fills lane-less traffic; ``pay2_has_all`` is the
-        # per-message presence mask, or None when the whole round carries
-        # the lane (the common case: one pair-payload protocol per round).
-        pay2_all = pay2_has_all = None
-        if any_pay2:
-            pay2_all = np.zeros(m_total, dtype=np.int64)
-            offset = 0
-            for length, pays2 in zip(chunk_len, pay2_chunks):
-                if pays2 is not None:
-                    pay2_all[offset : offset + length] = pays2
-                offset += length
-            if not all(h is True for h in has2_chunks):
-                pay2_has_all = np.zeros(m_total, dtype=bool)
-                offset = 0
-                for length, has2 in zip(chunk_len, has2_chunks):
-                    if has2 is True:
-                        pay2_has_all[offset : offset + length] = True
-                    elif has2 is not False:
-                        pay2_has_all[offset : offset + length] = has2
-                    offset += length
-
-        self._deliver_flat(
-            rcv_all,
-            snd_all,
-            kind_all,
-            pay_all,
-            pay_ok_all,
-            pay2_all,
-            pay2_has_all,
-            objs,
-            round_kind,
-            uniform_kinds,
-        )
+        self._deliver_flat(rcv_all, snd_all, None, None, None, None, objs)
 
     # ------------------------------------------------------------------
     # SoA engine entry: one batch carries the whole population's round.
@@ -1139,7 +925,7 @@ class SyncNetwork:
         The class's emitted columns *are* the packed round: senders must
         already be in canonical order (ascending node index, per-sender
         emission order), which is what keeps truncation draws, metrics,
-        and inbox sequences bit-for-bit equal to the per-node tiers.
+        and inbox sequences bit-for-bit equal to the object tier.
         """
         if produced is None or produced.receivers.shape[0] == 0:
             self._pending_count = 0
@@ -1163,20 +949,17 @@ class SyncNetwork:
             self._require_ascending_senders(snd_all)
         kinds = produced.kinds
         if type(kinds) is np.ndarray:
-            round_kind, kind_all, uniform_kinds = None, kinds, False
+            kind_all, round_kind = kinds, None
         else:
-            round_kind, kind_all, uniform_kinds = int(kinds), None, True
+            kind_all, round_kind = None, int(kinds)
         self._deliver_flat(
             rcv_all,
             snd_all,
             kind_all,
+            round_kind,
             produced.payloads,
-            None,
             produced.payloads2,
             None,
-            None,
-            round_kind,
-            uniform_kinds,
         )
 
     def _require_ascending_senders(self, snd_all: np.ndarray) -> None:
@@ -1208,22 +991,21 @@ class SyncNetwork:
         rcv_all,
         snd_all,
         kind_all,
-        pay_all,
-        pay_ok_all,
-        pay2_all,
-        pay2_has_all,
-        objs,
         round_kind,
-        uniform_kinds,
+        pay_all,
+        pay2_all,
+        objs,
     ) -> None:
         """Deliver one round packed as flat parallel columns.
 
+        SoA rounds carry their payload lanes (``kind_all`` is a kind
+        column, or ``None`` with the single ``round_kind`` code); object
+        rounds carry the message objects in ``objs`` instead.
         Self-addressed messages are split off with one vectorized mask,
         capacity truncation runs on index buffers via
-        :func:`segmented_keep_indices`, and inboxes are cut as *views* of
-        receiver-sorted columns (or kept whole as the next
-        :class:`SoAInbox`) — per-message Python work only happens for
-        object-node interop.
+        :func:`segmented_keep_indices`, and the receiver-sorted columns
+        become the next :class:`SoAInbox` whole — or, for object nodes,
+        each node's inbox is a slice of the sorted message list.
         """
         cap = self.capacity
         metrics = self._metrics
@@ -1282,57 +1064,32 @@ class SyncNetwork:
         else:
             snd_real = snd_all if contiguous else ids[snd_all]
             local_mask = rcv_all == snd_real
-        if local_mask is not None and local_mask.any():
-            loc_sel = np.flatnonzero(local_mask)
-            rem_sel = np.flatnonzero(~local_mask)
-            loc_rcv_idx = snd_all[loc_sel]
-            loc_kind = kind_all[loc_sel] if kind_all is not None else None
-            loc_pay = pay_all[loc_sel] if pay_all is not None else None
-            loc_ok = pay_ok_all[loc_sel] if pay_ok_all is not None else None
-            loc_pay2 = pay2_all[loc_sel] if pay2_all is not None else None
-            loc_has2 = pay2_has_all[loc_sel] if pay2_has_all is not None else None
-            loc_objs = [objs[i] for i in loc_sel.tolist()] if objs is not None else None
-            rcv_all = rcv_all[rem_sel]
-            snd_all = snd_all[rem_sel]
-            if kind_all is not None:
-                kind_all = kind_all[rem_sel]
-            if pay_all is not None:
-                pay_all = pay_all[rem_sel]
-            if pay_ok_all is not None:
-                pay_ok_all = pay_ok_all[rem_sel]
-            if pay2_all is not None:
-                pay2_all = pay2_all[rem_sel]
-            if pay2_has_all is not None:
-                pay2_has_all = pay2_has_all[rem_sel]
-            if objs is not None:
-                objs = [objs[i] for i in rem_sel.tolist()]
-            m_total = rcv_all.shape[0]
-            loc_count = loc_rcv_idx.shape[0]
-            rcv_ok = snd_ok = False  # columns rebound to fresh arrays
-        else:
-            loc_rcv_idx = None
-            loc_kind = loc_pay = loc_ok = loc_pay2 = loc_has2 = loc_objs = None
-            loc_count = 0
+        def gather(sel: np.ndarray) -> tuple:
+            """``(kinds, payloads, payloads2, objs)`` at rows ``sel``."""
+            return (
+                kind_all[sel] if kind_all is not None else None,
+                pay_all[sel] if pay_all is not None else None,
+                pay2_all[sel] if pay2_all is not None else None,
+                [objs[i] for i in sel.tolist()] if objs is not None else None,
+            )
 
-        def select(keep: np.ndarray):
-            nonlocal rcv_all, snd_all, objs, kind_all, pay_all, pay_ok_all, m_total
-            nonlocal pay2_all, pay2_has_all, rcv_ok, snd_ok
+        def select(keep: np.ndarray) -> None:
+            nonlocal rcv_all, snd_all, kind_all, pay_all, pay2_all, objs
+            nonlocal m_total, rcv_ok, snd_ok
             rcv_ok = snd_ok = False
             rcv_all = rcv_all[keep]
             snd_all = snd_all[keep]
-            if objs is not None:
-                objs = [objs[i] for i in keep.tolist()]
-            if kind_all is not None:
-                kind_all = kind_all[keep]
-            if pay_all is not None:
-                pay_all = pay_all[keep]
-            if pay_ok_all is not None:
-                pay_ok_all = pay_ok_all[keep]
-            if pay2_all is not None:
-                pay2_all = pay2_all[keep]
-            if pay2_has_all is not None:
-                pay2_has_all = pay2_has_all[keep]
+            kind_all, pay_all, pay2_all, objs = gather(keep)
             m_total = rcv_all.shape[0]
+
+        if local_mask is not None and local_mask.any():
+            loc_sel = np.flatnonzero(local_mask)
+            local = (snd_all[loc_sel], *gather(loc_sel))
+            select(np.flatnonzero(~local_mask))
+            loc_count = loc_sel.shape[0]
+        else:
+            local = None
+            loc_count = 0
 
         # ---- adversarial faults ---------------------------------------
         # Oblivious drops (crash isolation, partitions, link loss) act on
@@ -1422,26 +1179,16 @@ class SyncNetwork:
         if loc_count:
             # Prepend local messages so they sort ahead of remote ones for
             # the same receiver (stable sort ⇒ legacy's local-first order).
-            rcv_idx = np.concatenate([loc_rcv_idx, rcv_idx])
-            snd_all = np.concatenate([loc_rcv_idx, snd_all])
+            # A self-addressed message's receiver index is its sender's.
+            loc_snd, loc_kind, loc_pay, loc_pay2, loc_objs = local
+            rcv_idx = np.concatenate([loc_snd, rcv_idx])
+            snd_all = np.concatenate([loc_snd, snd_all])
             if kind_all is not None:
                 kind_all = np.concatenate([loc_kind, kind_all])
             if pay_all is not None:
                 pay_all = np.concatenate([loc_pay, pay_all])
             if pay2_all is not None:
-                # Local and remote lanes always co-exist (both derive from
-                # the same pack), so no zero-fill is needed here.
                 pay2_all = np.concatenate([loc_pay2, pay2_all])
-                if pay2_has_all is not None:
-                    pay2_has_all = np.concatenate([loc_has2, pay2_has_all])
-            if pay_ok_all is not None or loc_ok is not None:
-                ones = lambda k: np.ones(k, dtype=bool)  # noqa: E731
-                pay_ok_all = np.concatenate(
-                    [
-                        loc_ok if loc_ok is not None else ones(loc_count),
-                        pay_ok_all if pay_ok_all is not None else ones(m_total),
-                    ]
-                )
             if objs is not None:
                 objs = loc_objs + objs
             m_total += loc_count
@@ -1460,13 +1207,7 @@ class SyncNetwork:
         # layouts sort in-process, or in receiver-range shards on the
         # worker pool when ``workers > 1`` (bit-for-bit identical — see
         # repro.net.shard for the stability argument).
-        simple_lanes = (
-            kind_all is None
-            and pay_ok_all is None
-            and pay2_has_all is None
-            and objs is None
-            and pay_all is not None
-        )
+        simple_lanes = kind_all is None and objs is None
         pool = self._shards
         if rcv_ok and rcv_idx is lay.rcv and lay.order is not None:
             if self._round_trace is not None:
@@ -1482,7 +1223,6 @@ class SyncNetwork:
                 snd_s = lay.snd_s
             else:
                 snd_s = snd_all[order]
-            kind_s = ok_s = has2_s = objs_s = None
             if (
                 simple_lanes
                 and pool is not None
@@ -1492,17 +1232,9 @@ class SyncNetwork:
                 pay_s, pay2_s = pool.gather_payloads(
                     m_total, pay_all, pay2_all, lay.shard_gen
                 )
+                kind_s = objs_s = None
             else:
-                kind_s = kind_all[order] if kind_all is not None else None
-                pay_s = pay_all[order] if pay_all is not None else None
-                ok_s = pay_ok_all[order] if pay_ok_all is not None else None
-                pay2_s = pay2_all[order] if pay2_all is not None else None
-                has2_s = (
-                    pay2_has_all[order] if pay2_has_all is not None else None
-                )
-                objs_s = (
-                    [objs[i] for i in order.tolist()] if objs is not None else None
-                )
+                kind_s, pay_s, pay2_s, objs_s = gather(order)
         else:
             sharded = (
                 self._workers > 1
@@ -1517,21 +1249,12 @@ class SyncNetwork:
                 order, rcv_s, snd_s, pay_s, pay2_s = pool.sort_round(
                     rcv_idx, snd_all, pay_all, pay2_all, recv_counts
                 )
-                kind_s = ok_s = has2_s = objs_s = None
+                kind_s = objs_s = None
             else:
                 order = group_argsort(rcv_idx, n)
                 rcv_s = rcv_idx[order]
                 snd_s = snd_all[order]
-                kind_s = kind_all[order] if kind_all is not None else None
-                pay_s = pay_all[order] if pay_all is not None else None
-                ok_s = pay_ok_all[order] if pay_ok_all is not None else None
-                pay2_s = pay2_all[order] if pay2_all is not None else None
-                has2_s = (
-                    pay2_has_all[order] if pay2_has_all is not None else None
-                )
-                objs_s = (
-                    [objs[i] for i in order.tolist()] if objs is not None else None
-                )
+                kind_s, pay_s, pay2_s, objs_s = gather(order)
 
             # Receiver segment offsets fall out of the bincount for free
             # when no local messages interleave with remote groups.
@@ -1595,88 +1318,28 @@ class SyncNetwork:
             _sanitize.check_int64("pay_s", pay_s)
             _sanitize.check_int64("pay2_s", pay2_s)
 
-        snd_real_s = snd_s if contiguous else ids[snd_s]
-        rcv_real_s = rcv_s if contiguous else ids[rcv_s]
-
         if self._soa is not None:
             # The sorted columns ARE the next round's inbox: no group
             # cutting, no per-node objects — one SoAInbox for everyone.
             self._soa_inbox = SoAInbox(
-                snd_real_s,
+                snd_s,
                 rcv_s,
-                round_kind if uniform_kinds else kind_s,
+                round_kind if kind_s is None else kind_s,
                 pay_s,
                 pay2_s,
                 segments=seg,
             )
             return
 
+        # Object nodes: each receiver's inbox is its slice of the sorted
+        # message list.
         cuts = np.flatnonzero(rcv_s[1:] != rcv_s[:-1]) + 1
         starts = [0] + cuts.tolist() + [m_total]
         group_rcv = rcv_s[np.asarray(starts[:-1], dtype=np.int64)].tolist()
-
-        uniform_kind = round_kind if uniform_kinds else None
-        if uniform_kind is None and kind_s is not None and int(kind_s.min()) == int(kind_s.max()):
-            uniform_kind = int(kind_s[0])
-
         pending = self._pending
-        is_batch = self._is_batch
-        kind_name = KINDS.name
-        raw = MessageBatch._raw
-        for g in range(len(starts) - 1):
-            s = starts[g]
-            e = starts[g + 1]
-            nid = group_rcv[g] if contiguous else int(ids[group_rcv[g]])
-            if is_batch[nid]:
-                if ok_s is not None and not ok_s[s:e].all():
-                    raise TypeError(
-                        f"batch node {nid} received a message whose payload is "
-                        f"neither an integer nor an integer pair"
-                    )
-                # Attach the secondary lane iff some message in the group
-                # carries it — the rule ``MessageBatch.from_messages`` (and
-                # hence the legacy engine) applies to mixed inboxes.
-                if pay2_s is not None and (has2_s is None or bool(has2_s[s:e].any())):
-                    p2 = pay2_s[s:e]
-                else:
-                    p2 = None
-                pending[nid] = raw(
-                    snd_real_s[s:e],
-                    rcv_real_s[s:e],
-                    uniform_kind if uniform_kind is not None else kind_s[s:e],
-                    pay_s[s:e],
-                    p2,
-                )
-            elif objs_s is not None:
-                msgs = []
-                for i in range(s, e):
-                    obj = objs_s[i]
-                    if obj is None:
-                        if pay2_s is not None and (has2_s is None or has2_s[i]):
-                            payload = (int(pay_s[i]), int(pay2_s[i]))
-                        else:
-                            payload = int(pay_s[i])
-                        obj = Message(
-                            int(snd_real_s[i]),
-                            nid,
-                            kind_name(int(kind_s[i])) if kind_s is not None else kind_name(uniform_kind),
-                            payload,
-                        )
-                    msgs.append(obj)
-                pending[nid] = msgs
-            else:
-                uname = kind_name(uniform_kind) if kind_s is None else None
-                pending[nid] = [
-                    Message(
-                        int(snd_real_s[i]),
-                        nid,
-                        uname if uname is not None else kind_name(int(kind_s[i])),
-                        (int(pay_s[i]), int(pay2_s[i]))
-                        if pay2_s is not None and (has2_s is None or has2_s[i])
-                        else int(pay_s[i]),
-                    )
-                    for i in range(s, e)
-                ]
+        for g, idx in enumerate(group_rcv):
+            nid = idx if contiguous else int(ids[idx])
+            pending[nid] = objs_s[starts[g] : starts[g + 1]]
 
     # ------------------------------------------------------------------
     def run(

@@ -69,15 +69,15 @@ TIER_CHOICES = ENGINES + ("soa",)
 
 #: How the Theorem 1.1 rooting phase executes
 #: (:func:`repro.core.pipeline.build_well_formed_tree`).
-ROOTING_MODES = ("reference", "protocol", "batch", "soa")
+ROOTING_MODES = ("reference", "protocol", "soa")
 
 #: Node representations of the message-level rooting *population*
 #: (:func:`repro.core.protocol_tree.build_rooting_population`) — the
 #: scenario engine's rooting-workload tiers.
-ROOTING_TIERS = ("object", "batch", "soa")
+ROOTING_TIERS = ("object", "soa")
 
 #: How the Theorem 1.1 ``CreateExpander`` phase executes.
-EXPANDER_MODES = ("walks", "protocol", "batch", "soa")
+EXPANDER_MODES = ("walks", "protocol", "soa")
 
 #: Execution tiers of the §4 hybrid pipeline
 #: (:func:`repro.hybrid.components.connected_components_hybrid`).

@@ -8,7 +8,7 @@ declarative, reproducible subsystem:
 - :mod:`repro.scenarios.spec` — :class:`ScenarioSpec`, a stack of
   adversaries (link delays, oblivious message drops, crash waves with
   optional rejoin, temporary partitions), each compiled into columnar
-  event streams applied inside the network's delivery tail, so all three
+  event streams applied inside the network's delivery tail, so both
   execution tiers see *identical* faults under a shared seed;
 - :mod:`repro.scenarios.soa_sync` — the columnar α-synchroniser: a flat
   delay queue (release-time column + stable bucketing) replacing per-node

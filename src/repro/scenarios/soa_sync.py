@@ -1,10 +1,9 @@
 """Columnar α-synchroniser: a flat delay queue for SoA populations.
 
 The footnote-2 synchroniser of :mod:`repro.net.asynchrony` holds round
-``i``'s messages until ``i · max_delay`` time units elapse.  For per-node
-tiers that holding is implicit (inboxes sit in per-node pending lists);
-at ``n ≥ 10⁵`` the per-node representation itself is the bottleneck, so
-delay/churn sweeps were capped at batch scale.
+``i``'s messages until ``i · max_delay`` time units elapse.  For object
+nodes that holding is implicit (inboxes sit in per-node pending lists);
+at ``n ≥ 10⁵`` the per-node representation itself is the bottleneck.
 
 This module synchronises a whole :class:`~repro.net.soa.SoAProtocolClass`
 population with **flat columns end to end**:

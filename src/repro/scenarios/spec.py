@@ -27,7 +27,7 @@ keyed on ``(fault_seed, adversary-tag, index)`` — fully determined by the
 spec, independent of tier, engine, and protocol.  Because every tier
 presents the identical canonical message columns at the hook point, the
 same spec + seed yields bit-for-bit identical faulted executions on the
-object, batch, and SoA tiers (``tests/scenarios/test_spec.py`` pins this).
+object and SoA tiers (``tests/scenarios/test_spec.py`` pins this).
 """
 
 from __future__ import annotations

@@ -110,7 +110,7 @@ class TestValidationModes:
 class TestRootingModes:
     """The message-level rooting modes must build the reference tree."""
 
-    @pytest.mark.parametrize("mode", ["protocol", "batch"])
+    @pytest.mark.parametrize("mode", ["protocol", "soa"])
     def test_message_level_rooting_matches_reference(self, mode):
         ref = build_well_formed_tree(G.line_graph(48), rng=np.random.default_rng(12))
         res = build_well_formed_tree(
@@ -131,7 +131,7 @@ class TestRootingModes:
                 G.line_graph(16), rng=np.random.default_rng(13), rooting="typo"
             )
 
-    @pytest.mark.parametrize("mode", ["protocol", "batch"])
+    @pytest.mark.parametrize("mode", ["protocol", "soa"])
     def test_disconnected_input_rejected_in_message_modes(self, mode):
         mix, _ = G.component_mixture([G.line_graph(8), G.line_graph(8)])
         with pytest.raises(ValueError, match="disconnected"):

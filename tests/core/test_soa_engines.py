@@ -1,18 +1,18 @@
-"""Three-way differential matrix: object vs. batch vs. SoA engines.
+"""Differential matrix: object (the oracle) vs. SoA (the hot path).
 
-ISSUE 3's acceptance bar.  Rooting nodes draw no randomness of their own,
-so all three execution tiers must produce **bit-for-bit** identical
-``(root, parent, depth)`` arrays, metrics, and round counts over a
-20-seed matrix — and match the reference BFS oracle.
+Rooting nodes draw no randomness of their own, so both execution tiers
+must produce **bit-for-bit** identical ``(root, parent, depth)`` arrays,
+metrics, and round counts over a 20-seed matrix — on both delivery
+engines for the object tier — and match the reference BFS oracle.
 
-For the expander the per-tier randomness granularity necessarily differs
-(the object tier draws per token, the batch tier per node-row — streams
-that PR 1 already documents as intentionally distinct), so the exact
-comparison runs where streams are matched: :func:`run_soa_expander` is
-bit-for-bit equal to ``run_batch_expander(rng_mode="shared")`` — same
-final port matrix, same accepted-edge log, same metrics — over a 20-seed
-matrix, while the three tiers pairwise agree on the round ledger and the
-structural invariants (no drops, degree bound, laziness, symmetry).
+For the expander the exact comparison runs where randomness streams are
+matched: :func:`run_soa_expander` is bit-for-bit equal to object
+:class:`~repro.core.protocol.ExpanderNode` populations sharing one
+generator (``rng_mode="shared"``) — same final port matrix, same
+accepted-edge log, same metrics — over a 20-seed matrix on both engines,
+while the default per-node-spawned object run agrees with SoA on the
+round ledger and the structural invariants (no drops, degree bound,
+laziness, symmetry).
 """
 
 import math
@@ -20,22 +20,23 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.batch_protocol import run_batch_expander, run_soa_expander
+from repro.core.batch_protocol import run_soa_expander
 from repro.core.bfs import build_bfs_forest
 from repro.core.params import ExpanderParams
 from repro.core.pipeline import build_well_formed_tree
-from repro.core.protocol import run_protocol_expander
-from repro.core.protocol_tree import run_batch_rooting, run_protocol_rooting
+from repro.core.protocol import ExpanderNode, run_expander_on_network, run_protocol_expander
+from repro.core.protocol_tree import run_protocol_rooting
 from repro.core.soa_rooting import SoARootingClass, csr_neighbors, run_soa_rooting
 from repro.graphs import generators as G
 from repro.graphs.portgraph import PortGraph
 
 SEEDS = range(20)
+ENGINES = ("legacy", "vectorized")
 
 
 def overlay_like(n: int, seed: int, chords: int = 2, delta: int = 16) -> PortGraph:
     """Connected low-diameter multigraph standing in for evolution output
-    (the ring-plus-chords family shared with the S2/S3 benches)."""
+    (the ring-plus-chords family shared with the S3 bench)."""
     return PortGraph.ring_with_chords(n, delta=delta, chords=chords, seed=seed)
 
 
@@ -43,24 +44,23 @@ def _flood_rounds(n: int) -> int:
     return max(1, math.ceil(math.log2(max(2, n)))) + 4
 
 
-class TestRootingThreeWay:
+class TestRootingObjectVsSoA:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_three_tiers_bit_for_bit(self, seed):
+    def test_object_and_soa_bit_for_bit(self, seed):
         # Vary size and chord structure with the seed.
         n = 48 + 8 * (seed % 5)
         graph = overlay_like(n, seed, chords=2 + seed % 2)
         fr = _flood_rounds(n)
-        obj = run_protocol_rooting(
-            graph, fr, rng=np.random.default_rng(seed), engine="legacy"
-        )
-        bat = run_batch_rooting(graph, fr, rng=np.random.default_rng(seed))
         soa = run_soa_rooting(graph, fr, rng=np.random.default_rng(seed))
-        for other in (bat, soa):
-            assert other.root == obj.root
-            assert np.array_equal(other.parent, obj.parent)
-            assert np.array_equal(other.depth, obj.depth)
-            assert other.metrics.as_dict() == obj.metrics.as_dict()
-            assert other.rounds == obj.rounds
+        for engine in ENGINES:
+            obj = run_protocol_rooting(
+                graph, fr, rng=np.random.default_rng(seed), engine=engine
+            )
+            assert soa.root == obj.root, engine
+            assert np.array_equal(soa.parent, obj.parent), engine
+            assert np.array_equal(soa.depth, obj.depth), engine
+            assert soa.metrics.as_dict() == obj.metrics.as_dict(), engine
+            assert soa.rounds == obj.rounds, engine
 
     @pytest.mark.parametrize("seed", range(6))
     def test_soa_matches_reference_bfs(self, seed):
@@ -105,28 +105,33 @@ def _expander_params(n: int) -> ExpanderParams:
     )
 
 
-class TestExpanderThreeWay:
+class TestExpanderObjectVsSoA:
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_soa_equals_shared_rng_batch_bit_for_bit(self, seed):
+    def test_soa_equals_shared_rng_object_bit_for_bit(self, seed, engine):
         n = 24 + 8 * (seed % 4)
         params = _expander_params(n)
         g = G.line_graph(n)
-        bat = run_batch_expander(
-            g, params=params, rng=np.random.default_rng(seed), rng_mode="shared"
+        obj = run_expander_on_network(
+            ExpanderNode,
+            g,
+            params=params,
+            rng=np.random.default_rng(seed),
+            engine=engine,
+            rng_mode="shared",
         )
         soa = run_soa_expander(g, params=params, rng=np.random.default_rng(seed))
-        assert np.array_equal(bat.final_graph.ports, soa.final_graph.ports)
-        assert bat.metrics.as_dict() == soa.metrics.as_dict()
-        assert bat.rounds == soa.rounds
+        assert np.array_equal(obj.final_graph.ports, soa.final_graph.ports)
+        assert obj.metrics.as_dict() == soa.metrics.as_dict()
+        assert obj.rounds == soa.rounds
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_three_tiers_agree_on_ledger_and_invariants(self, seed):
+    def test_tiers_agree_on_ledger_and_invariants(self, seed):
         n = 32
         params = _expander_params(n)
         g = G.cycle_graph(n)
         runs = {
             "object": run_protocol_expander(g, params=params, rng=np.random.default_rng(seed)),
-            "batch": run_batch_expander(g, params=params, rng=np.random.default_rng(seed)),
             "soa": run_soa_expander(g, params=params, rng=np.random.default_rng(seed)),
         }
         rounds = {tier: r.rounds for tier, r in runs.items()}
@@ -138,17 +143,14 @@ class TestExpanderThreeWay:
             assert r.final_graph.is_lazy(), tier
             assert r.final_graph.is_symmetric(), tier
 
-    def test_accepted_log_matches_batch_nodes(self):
+    def test_accepted_log_matches_object_nodes(self):
         # The columnar accepted-edge log equals the per-node logs of the
-        # shared-generator batch run, node by node and in order.
+        # shared-generator object run, node by node and in order.
         n = 40
         params = _expander_params(n)
         g = G.line_graph(n)
-        from repro.core.batch_protocol import BatchExpanderNode, SoAExpanderClass
-        from repro.core.protocol import (
-            prepare_network_inputs,
-            run_expander_on_network,
-        )
+        from repro.core.batch_protocol import SoAExpanderClass
+        from repro.core.protocol import prepare_network_inputs
         from repro.net.network import SyncNetwork
 
         rng = np.random.default_rng(11)
@@ -158,24 +160,21 @@ class TestExpanderThreeWay:
         network = SyncNetwork(cls, capacity, net_rng)
         network.run(max_rounds=params2.num_evolutions * (params2.ell + 2) + 1)
 
-        rng_b = np.random.default_rng(11)
-        proto_b, net_b = rng_b.spawn(2)
-        nodes = {
-            v: BatchExpanderNode(v, neighbors[v], params2, proto_b) for v in range(n)
-        }
-        net2 = SyncNetwork(nodes, capacity, net_b)
-        net2.run(max_rounds=params2.num_evolutions * (params2.ell + 2) + 1)
+        proto_o, net_o = np.random.default_rng(11).spawn(2)
+        nodes = {v: ExpanderNode(v, neighbors[v], params2, proto_o) for v in range(n)}
+        SyncNetwork(nodes, capacity, net_o).run(
+            max_rounds=params2.num_evolutions * (params2.ell + 2) + 1
+        )
 
         assert len(cls.accepted_log) == params2.num_evolutions
-        for evo, (acceptors, origins) in enumerate(cls.accepted_log):
-            for v in range(n):
-                mine = origins[acceptors == v].tolist()
-                theirs = (
-                    nodes[v].accepted_origins[evo].tolist()
-                    if evo < len(nodes[v].accepted_origins)
-                    else []
-                )
-                assert mine == theirs, (evo, v)
+        for v in range(n):
+            mine = [
+                origin
+                for acceptors, origins in cls.accepted_log
+                for origin in origins[acceptors == v].tolist()
+            ]
+            assert mine == [origin for origin, _ in nodes[v].accepted_log], v
+            assert all(acceptor == v for _, acceptor in nodes[v].accepted_log)
 
     def test_soa_rejects_legacy_engine(self):
         with pytest.raises(ValueError, match="vectorized"):
@@ -187,13 +186,13 @@ class TestPipelineSoAModes:
         g = G.cycle_graph(72)
         runs = {
             mode: build_well_formed_tree(g, rng=np.random.default_rng(9), rooting=mode)
-            for mode in ("reference", "batch", "soa")
+            for mode in ("reference", "protocol", "soa")
         }
         ref = runs["reference"]
         for mode, run in runs.items():
             assert np.array_equal(run.bfs.parent, ref.bfs.parent), mode
             assert np.array_equal(run.bfs.depth, ref.bfs.depth), mode
-        assert runs["batch"].round_ledger == runs["soa"].round_ledger
+        assert runs["protocol"].round_ledger == runs["soa"].round_ledger
 
     def test_expander_soa_mode_builds_valid_overlay(self):
         g = G.cycle_graph(64)
@@ -208,7 +207,7 @@ class TestPipelineSoAModes:
 
     def test_message_expander_modes_reject_walk_only_features(self):
         with pytest.raises(ValueError, match="walks"):
-            build_well_formed_tree(G.cycle_graph(32), expander="batch", track_gap=True)
+            build_well_formed_tree(G.cycle_graph(32), expander="soa", track_gap=True)
         with pytest.raises(ValueError, match="expander must be one of"):
             build_well_formed_tree(G.cycle_graph(32), expander="hyperdrive")
 

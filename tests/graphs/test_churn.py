@@ -89,7 +89,7 @@ class TestSurvivalCurve:
 
 
 class TestSurvivorRebuild:
-    """The §1.4 "throw away and reconstruct" step on the batched engine."""
+    """The §1.4 "throw away and reconstruct" step on the SoA tier."""
 
     def test_rebuild_produces_valid_overlay(self):
         rng = np.random.default_rng(7)
@@ -107,9 +107,9 @@ class TestSurvivorRebuild:
         """Regression: under one seed, every execution tier reconstructs
         the *identical* survivor overlay — same survivor set, same BFS
         tree, same round ledger — so churn re-runs can move to the
-        batched/SoA tiers without changing a single result."""
+        SoA tier without changing a single result."""
         runs = {}
-        for rooting in ("reference", "protocol", "batch", "soa"):
+        for rooting in ("reference", "protocol", "soa"):
             rng = np.random.default_rng(100 + seed)
             runs[rooting] = rebuild_survivor_overlay(
                 G.complete_graph(40), 0.3, rng, rooting=rooting
@@ -129,11 +129,7 @@ class TestSurvivorRebuild:
                     phase,
                 )
         # The message-level tiers agree on the full ledger, bfs included.
-        assert (
-            runs["batch"].overlay.round_ledger
-            == runs["soa"].overlay.round_ledger
-            == runs["protocol"].overlay.round_ledger
-        )
+        assert runs["soa"].overlay.round_ledger == runs["protocol"].overlay.round_ledger
 
     def test_total_churn_raises(self):
         with pytest.raises(ValueError, match="rebuild"):
@@ -183,9 +179,12 @@ class TestHybridRebuild:
                 graph, 0.1, np.random.default_rng(0), hybrid="warp"
             )
 
-    def test_hybrid_rejects_theorem11_kwargs(self):
+    # Any explicit rooting alongside hybrid= raises, whatever its value —
+    # including the name of the removed "batch" tier.
+    @pytest.mark.parametrize("rooting", ["soa", "batch"])
+    def test_hybrid_rejects_theorem11_kwargs(self, rooting):
         graph = PortGraph.ring_with_chords(64, delta=16, chords=2, seed=0)
         with pytest.raises(ValueError, match="overlay_params instead"):
             rebuild_survivor_overlay(
-                graph, 0.1, np.random.default_rng(0), rooting="soa", hybrid="soa"
+                graph, 0.1, np.random.default_rng(0), rooting=rooting, hybrid="soa"
             )

@@ -84,7 +84,7 @@ class TestEngineSelection:
     round charges) — the bench_x2 path no longer needs object-level
     rooting."""
 
-    @pytest.mark.parametrize("rooting", ["protocol", "batch", "soa"])
+    @pytest.mark.parametrize("rooting", ["protocol", "soa"])
     def test_tiers_match_reference_monitor(self, rooting):
         g = G.torus_2d(4, 4)
         ref = NetworkMonitor(g).all_monitors()
@@ -100,7 +100,7 @@ class TestEngineSelection:
     def test_disconnected_rejected_on_message_tier(self):
         mix, _ = G.component_mixture([G.line_graph(4), G.line_graph(4)])
         with pytest.raises(ValueError, match="connected"):
-            NetworkMonitor(mix, rooting="batch")
+            NetworkMonitor(mix, rooting="soa")
 
 
 class TestValidation:

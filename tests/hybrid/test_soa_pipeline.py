@@ -11,14 +11,10 @@ import numpy as np
 import pytest
 
 from repro.core.bfs import build_bfs_forest, distributed_bfs, flood_min_ids
-from repro.core.pipeline import HYBRID_MODES
 from repro.graphs import generators as G
 from repro.graphs.analysis import adjacency_sets, connected_components
 from repro.graphs.portgraph import PortGraph
-from repro.hybrid.components import (
-    HYBRID_TIERS,
-    connected_components_hybrid,
-)
+from repro.hybrid.components import connected_components_hybrid
 from repro.hybrid.degree_reduction import reduce_degree
 from repro.hybrid.overlay import HybridOverlayParams, build_hybrid_overlay
 from repro.hybrid.soa_pipeline import (
@@ -321,9 +317,6 @@ class TestComponentsEquivalence:
     def test_invalid_tier_rejected(self):
         with pytest.raises(ValueError, match="tier must be one of"):
             connected_components_hybrid(mixture(0), tier="warp")
-
-    def test_hybrid_modes_mirror_is_in_sync(self):
-        assert HYBRID_MODES == HYBRID_TIERS
 
     def test_columnar_results_carry_columns(self):
         result = connected_components_hybrid(

@@ -218,7 +218,7 @@ class TestEngineSelection:
 
 class TestDropWorkloadsAcrossTiers:
     """``require_quiescence=False`` under adversarial drop workloads on
-    all three node tiers (object vs. batch vs. SoA): seed-matched
+    both node tiers (object vs. SoA): seed-matched
     ``report.converged`` and round ledgers must coincide exactly."""
 
     N = 96
@@ -258,17 +258,16 @@ class TestDropWorkloadsAcrossTiers:
         return report, network.metrics.as_dict(), parent
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_three_tiers_seed_matched(self, seed):
+    def test_tiers_seed_matched(self, seed):
         drop_p = 0.4
         rep_obj, metrics_obj, parent_obj = self._run("object", seed, drop_p)
-        for tier in ("batch", "soa"):
-            rep, metrics, parent = self._run(tier, seed, drop_p)
-            assert rep.converged == rep_obj.converged, tier
-            assert rep.logical_rounds == rep_obj.logical_rounds, tier
-            assert rep.elapsed_time_units == rep_obj.elapsed_time_units, tier
-            assert rep.observed_max_delay == rep_obj.observed_max_delay, tier
-            assert metrics == metrics_obj, tier
-            assert np.array_equal(parent, parent_obj), tier
+        rep, metrics, parent = self._run("soa", seed, drop_p)
+        assert rep.converged == rep_obj.converged
+        assert rep.logical_rounds == rep_obj.logical_rounds
+        assert rep.elapsed_time_units == rep_obj.elapsed_time_units
+        assert rep.observed_max_delay == rep_obj.observed_max_delay
+        assert metrics == metrics_obj
+        assert np.array_equal(parent, parent_obj)
 
     def test_heavy_drops_actually_starve_some_seed(self):
         # The matrix above must include real non-convergence to mean
@@ -279,5 +278,5 @@ class TestDropWorkloadsAcrossTiers:
         assert any(outcomes)
 
     def test_faulted_runs_report_fault_drops(self):
-        _, metrics, _ = self._run("batch", 0, 0.4)
+        _, metrics, _ = self._run("object", 0, 0.4)
         assert metrics["fault_drops"] > 0

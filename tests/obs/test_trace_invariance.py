@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.protocol_tree import run_batch_rooting, run_protocol_rooting
+from repro.core.protocol_tree import run_protocol_rooting
 from repro.core.soa_rooting import run_soa_rooting
 from repro.graphs.portgraph import PortGraph
 from repro.net.shard import WORKERS_ENV
@@ -49,8 +49,8 @@ RUNNERS = {
     "object": lambda g, s, **kw: run_protocol_rooting(
         g, FLOOD, rng=np.random.default_rng(s), engine="legacy"
     ),
-    "batch": lambda g, s, **kw: run_batch_rooting(
-        g, FLOOD, rng=np.random.default_rng(s)
+    "object-vectorized": lambda g, s, **kw: run_protocol_rooting(
+        g, FLOOD, rng=np.random.default_rng(s), engine="vectorized"
     ),
     "soa": lambda g, s, **kw: run_soa_rooting(
         g, FLOOD, rng=np.random.default_rng(s), **kw

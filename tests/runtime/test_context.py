@@ -316,8 +316,8 @@ class TestSingleFieldResolvers:
     """The harness-facing helpers share the context's resolution."""
 
     def test_select_choice_matches_resolve(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ROOTING", "batch")
-        assert select_choice("rooting") == RunContext.resolve().rooting == "batch"
+        monkeypatch.setenv("REPRO_ROOTING", "protocol")
+        assert select_choice("rooting") == RunContext.resolve().rooting == "protocol"
 
     def test_select_choice_unknown_kind(self):
         with pytest.raises(ValueError, match="kind must be one of"):
@@ -331,7 +331,7 @@ class TestSingleFieldResolvers:
         assert not choice_specified("engine")
         monkeypatch.setenv("REPRO_ENGINE", "legacy")
         assert choice_specified("engine")
-        assert choice_specified("rooting", "batch")
+        assert choice_specified("rooting", "soa")
 
     def test_workers_specified(self, monkeypatch):
         assert not workers_specified()
@@ -349,3 +349,41 @@ class TestSingleFieldResolvers:
         for field, (env_var, default, choices) in TIER_KINDS.items():
             assert env_var.startswith("REPRO_")
             assert default in choices
+
+
+def _pipeline_rooting(monkeypatch):
+    from repro.core.pipeline import build_well_formed_tree
+    from repro.graphs.generators import cycle_graph
+
+    build_well_formed_tree(cycle_graph(16), rooting="batch")
+
+
+def _pipeline_expander(monkeypatch):
+    from repro.core.pipeline import build_well_formed_tree
+    from repro.graphs.generators import cycle_graph
+
+    build_well_formed_tree(cycle_graph(16), expander="batch")
+
+
+def _rooting_tier(monkeypatch):
+    from repro.core.protocol_tree import build_rooting_population
+    from repro.graphs.portgraph import PortGraph
+
+    build_rooting_population(PortGraph.ring_with_chords(16, delta=8, seed=0), 4, "batch")
+
+
+def _rooting_env(monkeypatch):
+    monkeypatch.setenv("REPRO_ROOTING", "batch")
+    RunContext.resolve()
+
+
+@pytest.mark.parametrize(
+    "attempt",
+    [_pipeline_rooting, _pipeline_expander, _rooting_tier, _rooting_env],
+    ids=["rooting", "expander", "rooting-tier", "REPRO_ROOTING"],
+)
+def test_removed_batch_tier_is_rejected_with_choices(attempt, monkeypatch):
+    """Only the object oracle and the SoA hot path remain; naming the
+    deleted per-node batch tier anywhere fails with the choice list."""
+    with pytest.raises(ValueError, match=r"must be one of \([^)]*'soa'\), got 'batch'"):
+        attempt(monkeypatch)

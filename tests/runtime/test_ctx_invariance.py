@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.protocol_tree import run_batch_rooting
+from repro.core.protocol_tree import run_protocol_rooting
 from repro.core.pipeline import build_well_formed_tree
 from repro.core.soa_rooting import run_soa_rooting
 from repro.graphs import generators as G
@@ -60,10 +60,10 @@ class TestRootingInvariance:
         assert tree_sha(sharded) == tree_sha(baseline)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_batch_ctx_matches_shim(self, seed):
+    def test_object_ctx_matches_shim(self, seed):
         graph = rooting_graph(seed)
-        shim = run_batch_rooting(graph, FLOOD_ROUNDS, rng=np.random.default_rng(seed))
-        via_ctx = run_batch_rooting(
+        shim = run_protocol_rooting(graph, FLOOD_ROUNDS, rng=np.random.default_rng(seed))
+        via_ctx = run_protocol_rooting(
             graph,
             FLOOD_ROUNDS,
             rng=np.random.default_rng(seed),
@@ -73,7 +73,7 @@ class TestRootingInvariance:
 
 
 class TestPipelineInvariance:
-    @pytest.mark.parametrize("rooting", ("reference", "batch", "soa"))
+    @pytest.mark.parametrize("rooting", ("reference", "protocol", "soa"))
     def test_build_tree_ctx_matches_kwargs(self, rooting):
         ring = G.cycle_graph(64)
         shim = build_well_formed_tree(
@@ -85,15 +85,30 @@ class TestPipelineInvariance:
         assert np.array_equal(via_ctx.bfs.depth, shim.bfs.depth)
         assert via_ctx.round_ledger == shim.round_ledger
 
+    @pytest.mark.parametrize("expander", ("protocol", "soa"))
+    def test_ctx_reaches_the_expander_network(self, expander):
+        """The context's tracer is threaded into the message-level
+        expander phase as well as into rooting: one ``net`` table each."""
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        ctx = RunContext.resolve(
+            rooting="soa", expander=expander, tracer=tracer, seed=1
+        )
+        result = build_well_formed_tree(G.cycle_graph(64), rng=ctx.rng(), ctx=ctx)
+        expander_net, rooting_net = tracer.tables_of("net")
+        assert len(expander_net) == result.round_ledger["evolutions"]
+        assert len(rooting_net) == result.round_ledger["bfs"]
+
     def test_explicit_kwarg_beats_context_field(self):
         """The shim merge: an explicit rooting kwarg wins over ctx.rooting."""
         ring = G.cycle_graph(48)
         ctx = RunContext.resolve(rooting="reference")
         overridden = build_well_formed_tree(
-            ring, rng=np.random.default_rng(5), rooting="batch", ctx=ctx
+            ring, rng=np.random.default_rng(5), rooting="soa", ctx=ctx
         )
         plain = build_well_formed_tree(
-            ring, rng=np.random.default_rng(5), rooting="batch"
+            ring, rng=np.random.default_rng(5), rooting="soa"
         )
         assert np.array_equal(overridden.bfs.parent, plain.bfs.parent)
 
@@ -103,9 +118,9 @@ class TestChurnRebuildInvariance:
     def test_theorem11_rebuild_ctx_matches_shim(self, seed):
         graph = G.complete_graph(40)
         shim = rebuild_survivor_overlay(graph, 0.3, np.random.default_rng(seed))
-        # The shim default runs the batched rooting tier; the context
+        # The shim default runs the SoA rooting tier; the context
         # spelling pins the same mode explicitly.
-        ctx = RunContext.resolve(rooting="batch", expander="walks")
+        ctx = RunContext.resolve(rooting="soa", expander="walks")
         via_ctx = rebuild_survivor_overlay(
             graph, 0.3, np.random.default_rng(seed), ctx=ctx
         )
@@ -138,7 +153,7 @@ class TestChurnRebuildInvariance:
         context carries a hybrid tier."""
         graph = G.complete_graph(40)
         ctx = RunContext.resolve(
-            rooting="batch", expander="walks", hybrid="soa"
+            rooting="soa", expander="walks", hybrid="soa"
         )
         result = rebuild_survivor_overlay(graph, 0.3, np.random.default_rng(1), ctx=ctx)
         # A Theorem 1.1 SurvivorRebuild has a bfs tree, not hybrid labels.
@@ -151,7 +166,7 @@ class TestScenarioRowInvariance:
         from repro.scenarios import ScenarioSpec
         from repro.scenarios.runner import ScenarioRunner
 
-        tiers = ("batch", "soa") if workload == "rooting" else ("object", "soa")
+        tiers = ("object", "soa")
         spec = ScenarioSpec(name="invariance/baseline")
         plain = ScenarioRunner(
             sizes=(96,), seeds=(0, 1), tiers=tiers, workload=workload

@@ -51,7 +51,7 @@ class TestRegistryShape:
 class TestValidation:
     def test_valid_tier_returned(self):
         assert validate_tier("hybrid", "soa") == "soa"
-        assert validate_tier("rooting", "batch") == "batch"
+        assert validate_tier("rooting", "object") == "object"
 
     def test_invalid_tier_message_lists_choices(self):
         with pytest.raises(

@@ -37,7 +37,7 @@ class TestBitForBitMatrix:
         fr = _flood_rounds(n)
         sync = run_soa_rooting(graph, fr, rng=np.random.default_rng(seed))
         per_node, rep_b = run_rooting_under_asynchrony(
-            graph, fr, max_delay=5, rng=np.random.default_rng(seed), tier="batch"
+            graph, fr, max_delay=5, rng=np.random.default_rng(seed), tier="object"
         )
         soa, rep_s = run_rooting_under_asynchrony(
             graph, fr, max_delay=5, rng=np.random.default_rng(seed), tier="soa"
@@ -222,7 +222,7 @@ class TestBarrierBoundary:
         graph = overlay_like(n, seed=5)
         fr = _flood_rounds(n)
         sync = run_soa_rooting(graph, fr, rng=np.random.default_rng(3))
-        for tier in ("batch", "soa"):
+        for tier in ("object", "soa"):
             run, report = run_rooting_under_asynchrony(
                 graph,
                 fr,

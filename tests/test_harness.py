@@ -5,18 +5,14 @@ import pytest
 
 from repro.experiments.harness import (
     ENGINE_CHOICES,
-    EXPANDER_CHOICES,
-    ROOTING_CHOICES,
-    TIER_CHOICES,
     Table,
     fit_vs_logn,
     geometric_sizes,
     loglog_slope,
-    select_engine,
-    select_rooting,
     select_tier,
     tier_filter,
 )
+from repro.runtime import TIER_CHOICES
 
 
 class TestSelectTier:
@@ -30,10 +26,10 @@ class TestSelectTier:
         assert select_tier("expander") == "walks"
 
     def test_cli_beats_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ROOTING", "batch")
-        assert select_tier("rooting") == "batch"
+        monkeypatch.setenv("REPRO_ROOTING", "protocol")
+        assert select_tier("rooting") == "protocol"
         assert select_tier("rooting", "soa") == "soa"
-        assert select_tier("rooting", default="protocol") == "batch"
+        assert select_tier("rooting", default="soa") == "protocol"
 
     def test_env_vars_are_per_kind(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXPANDER", "soa")
@@ -62,18 +58,8 @@ class TestSelectTier:
         monkeypatch.setenv("REPRO_ENGINE", "soa")
         assert tier_filter("engine") == "soa"
 
-    def test_back_compat_wrappers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_ROOTING", raising=False)
-        assert select_engine() == "vectorized"
-        assert select_rooting(default="batch") == "batch"
-        with pytest.raises(ValueError):
-            select_engine("soa")  # engine-only choices by default
-
-    def test_choice_tuples_cover_the_stack(self):
+    def test_engine_choices_are_the_delivery_engines(self):
         assert set(ENGINE_CHOICES) == {"legacy", "vectorized"}
-        assert "soa" in TIER_CHOICES
-        assert "soa" in ROOTING_CHOICES and "walks" in EXPANDER_CHOICES
 
 
 class TestTable:
@@ -185,12 +171,6 @@ class TestEnvPlumbingMatrix:
     def test_invalid_cli_value_lists_choices(self):
         with pytest.raises(ValueError, match="hybrid must be one of"):
             select_tier("hybrid", cli_value="nope")
-
-    def test_hybrid_choices_exported(self):
-        from repro.experiments.harness import HYBRID_CHOICES
-        from repro.hybrid.components import HYBRID_TIERS
-
-        assert HYBRID_CHOICES == HYBRID_TIERS == ("object", "soa")
 
     def test_tier_filter_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_HYBRID", "soa")
