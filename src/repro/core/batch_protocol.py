@@ -28,6 +28,7 @@ from repro.graphs.portgraph import PortGraph
 from repro.net.batch import KINDS, MessageBatch
 from repro.net.network import CapacityPolicy, SyncNetwork
 from repro.net.soa import SoAInbox, SoAProtocolClass
+from repro.net.vectorops import group_argsort
 from repro.runtime import RunContext
 
 __all__ = [
@@ -170,7 +171,7 @@ class SoAExpanderClass(SoAProtocolClass):
         # stable sort over [replies ‖ accepts].
         part_nodes = np.concatenate([self._reply_nodes, self._accept_nodes])
         part_vals = np.concatenate([self._reply_partners, self._accept_partners])
-        order = np.argsort(part_nodes, kind="stable")
+        order = group_argsort(part_nodes, self.n)
         sn = part_nodes[order]
         counts = np.bincount(sn, minlength=self.n)
         if counts.max(initial=0) > self._delta:

@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.net.vectorops import group_argsort
+
 __all__ = ["PortGraph", "SELF_LOOP"]
 
 #: Edge id stored on self-loop ports.
@@ -129,12 +131,14 @@ class PortGraph:
         ports = np.repeat(node_ids[:, None], delta, axis=1)
         ids = np.full((n, delta), SELF_LOOP, dtype=np.int64)
 
-        # Stable sort stubs by node, then compute each stub's slot index
-        # within its node group so scatter assignment is vectorised.
-        order = np.argsort(stub_nodes, kind="stable")
-        sorted_nodes = stub_nodes[order]
-        group_starts = np.searchsorted(sorted_nodes, sorted_nodes, side="left")
-        slots = np.arange(sorted_nodes.shape[0]) - group_starts
+        # Stable sort stubs by node; each stub's slot within its node
+        # group follows from the per-node counts, so the scatter
+        # assignment is vectorised.
+        order = group_argsort(stub_nodes, n)
+        sorted_nodes = np.repeat(node_ids, counts)
+        slots = np.arange(sorted_nodes.shape[0]) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
         ports[sorted_nodes, slots] = stub_partners[order]
         ids[sorted_nodes, slots] = stub_ids[order]
         return cls(ports=ports, port_edge_ids=ids)

@@ -109,7 +109,7 @@ class ComponentsResult:
         n = labels.shape[0]
         if n == 0:
             return {}
-        order = group_argsort(labels, n)
+        order = group_argsort(labels, int(labels.max()) + 1)
         grouped = labels[order]
         starts = np.flatnonzero(
             np.concatenate([[True], grouped[1:] != grouped[:-1]])

@@ -47,6 +47,7 @@ from repro.net.batch import KINDS, MessageBatch
 from repro.net.hybrid import HybridLedger
 from repro.net.network import CapacityPolicy, SyncNetwork
 from repro.net.soa import SoAInbox, SoAProtocolClass
+from repro.net.vectorops import group_argsort
 
 __all__ = [
     "CSRAdjacency",
@@ -368,7 +369,7 @@ class SoASpannerClass(SoAProtocolClass):
         # argsort keeps it, so "first row of the segment" is the smallest
         # sender — the per-node "first arrival wins ties" rule.
         key = a_node * np.int64(self.n) + a_src
-        order = np.argsort(key, kind="stable")
+        order = group_argsort(key, self.n * self.n)
         key, a_val, a_pred = key[order], a_val[order], a_pred[order]
         starts = _segment_starts(key)
         pick = _first_max_per_segment(a_val, starts)

@@ -24,20 +24,47 @@ import numpy as np
 __all__ = ["segmented_keep_indices", "needs_truncation", "group_argsort"]
 
 
+_DIGIT_BITS = 16
+_DIGIT = 1 << _DIGIT_BITS
+
+
 def group_argsort(values: np.ndarray, bound: int) -> np.ndarray:
     """Stable argsort of small non-negative integers (group labels).
 
     Exactly ``np.argsort(values, kind="stable")`` for ``values`` in
-    ``[0, bound)``, but ~4× faster on large rounds: when the unique
-    combined key ``value·m + index`` fits in int64 it is introsorted
-    (numpy's stable sort for int64 is a mergesort, which the delivery
-    tail's per-round receiver grouping spends most of its time in).
-    Falls back to the stable sort when the key could overflow.
+    ``[0, bound)``, in time linear in ``m``: an LSD radix sort over
+    16-bit digits, each digit a ``uint16`` stable argsort (numpy runs a
+    radix sort for 16-bit types).
+
+    * ``bound <= 2**16`` — one digit: the labels sorted as ``uint16``;
+    * ``bound <= 2**32`` — two digits: a stable pass on the low 16 bits,
+      a stable pass on the high 16 bits gathered through the first
+      order, and the first order indexed by the second;
+    * larger bounds — numpy's stable (merge) sort.
+
+    The digit casts would wrap out-of-range labels silently, so a
+    ``min``/``max`` pass checks the range first and raises
+    :class:`ValueError` naming the offending value instead of returning
+    a wrong order.
     """
+    values = np.asarray(values)
     m = values.shape[0]
-    if m and bound <= (2**62) // m:
-        return np.argsort(values * np.int64(m) + np.arange(m, dtype=np.int64))
-    return np.argsort(values, kind="stable")
+    if m == 0:
+        return np.empty(0, dtype=np.int64)
+    vmin, vmax = int(values.min()), int(values.max())
+    if vmin < 0 or vmax >= bound:
+        bad = vmin if vmin < 0 else vmax
+        raise ValueError(f"group_argsort: value {bad} outside [0, {bound})")
+    if bound > _DIGIT * _DIGIT:
+        return np.argsort(values, kind="stable")
+    # A transient sort digit, not a message lane; uint16 is deliberate.
+    low = values.astype(np.uint16)  # repro-lint: disable=RL303
+    order = np.argsort(low, kind="stable")
+    if bound <= _DIGIT:
+        return order
+    high = values[order] >> _DIGIT_BITS
+    high = high.astype(np.uint16)  # repro-lint: disable=RL303
+    return order[np.argsort(high, kind="stable")]
 
 
 def segmented_keep_indices(
@@ -60,6 +87,11 @@ def segmented_keep_indices(
     np.ndarray
         Sorted item indices, so selecting them preserves the canonical
         order of the survivors.
+
+    The shuffled labels are grouped by :func:`group_argsort` (labels are
+    shifted to start at 0, so any integer labels work); each item's rank
+    in its group comes from the run lengths of the sorted column, and the
+    survivors are read back in canonical order from a boolean mask.
     """
     groups = np.asarray(groups)
     m = groups.shape[0]
@@ -67,12 +99,19 @@ def segmented_keep_indices(
         return np.empty(0, dtype=np.int64)
     perm = rng.permutation(m)
     shuffled = groups[perm]
-    order = np.argsort(shuffled, kind="stable")
+    lo, hi = int(shuffled.min()), int(shuffled.max())
+    if lo:
+        shuffled = shuffled - lo
+    order = group_argsort(shuffled, hi - lo + 1)
     sorted_groups = shuffled[order]
-    group_start = np.searchsorted(sorted_groups, sorted_groups, side="left")
-    rank_in_group = np.arange(m) - group_start
-    keep = rank_in_group < cap
-    return np.sort(perm[order[keep]])
+    starts = np.flatnonzero(
+        np.concatenate([[True], sorted_groups[1:] != sorted_groups[:-1]])
+    )
+    counts = np.diff(np.append(starts, m))
+    rank_in_group = np.arange(m, dtype=np.int64) - np.repeat(starts, counts)
+    mask = np.zeros(m, dtype=bool)
+    mask[perm[order[rank_in_group < cap]]] = True
+    return np.flatnonzero(mask)
 
 
 def needs_truncation(counts: np.ndarray, cap: int | None) -> bool:
