@@ -48,12 +48,11 @@ from repro.experiments.harness import (
     Table,
     add_engine_argument,
     add_workers_argument,
-    select_workers,
     tier_filter,
 )
 from repro.graphs.portgraph import PortGraph
 from repro.net.shard import effective_workers
-from repro.runtime import TIER_CHOICES, RunContext, workers_specified
+from repro.runtime import TIER_CHOICES, RunContext, resolve_workers, workers_specified
 
 FULL_SIZES = (10_000, 100_000)
 FULL_SOA_ONLY = (1_000_000,)
@@ -97,7 +96,7 @@ def _tree_sha(result) -> str:
 def _worker_counts(smoke: bool, cli_value: int | None) -> tuple[int, ...]:
     """The sweep — or the single pinned count when the user chose one."""
     if workers_specified(cli_value):
-        return (select_workers(cli_value),)
+        return (resolve_workers(cli_value),)
     return SMOKE_WORKER_SWEEP if smoke else FULL_WORKER_SWEEP
 
 
@@ -120,7 +119,9 @@ def check_equivalence(n: int = 400) -> None:
     """Bit-for-bit object-vs-SoA agreement before timing anything."""
     graph = overlay_like_graph(n, seed=n)
     fr = _flood_rounds(n)
-    obj = run_protocol_rooting(graph, fr, rng=np.random.default_rng(n), engine="legacy")
+    obj = run_protocol_rooting(
+        graph, fr, rng=np.random.default_rng(n), ctx=RunContext.resolve(engine="legacy")
+    )
     soa = run_soa_rooting(graph, fr, rng=np.random.default_rng(n))
     assert soa.root == obj.root, "soa disagrees on the root"
     assert np.array_equal(soa.parent, obj.parent), "soa disagrees on parents"
@@ -186,11 +187,13 @@ def run_experiment(
 
         if engine_filter in ("legacy", "vectorized"):
             result = run_protocol_rooting(
-                graph, fr, rng=np.random.default_rng(1), engine=engine_filter
+                graph, fr, rng=np.random.default_rng(1),
+                ctx=RunContext.resolve(engine=engine_filter)
             )
             seconds = _time(
                 lambda: run_protocol_rooting(
-                    graph, fr, rng=np.random.default_rng(1), engine=engine_filter
+                    graph, fr, rng=np.random.default_rng(1),
+                    ctx=RunContext.resolve(engine=engine_filter)
                 ),
                 repeats=1,
             )
@@ -271,7 +274,7 @@ def run_trace_check(smoke: bool, trace_path: str, worker_counts) -> dict:
         for w in worker_counts:
             start = time.perf_counter()
             result = run_soa_rooting(
-                graph, fr, rng=np.random.default_rng(1), workers=w
+                graph, fr, rng=np.random.default_rng(1), ctx=RunContext.resolve(workers=w)
             )
             elapsed = time.perf_counter() - start
             assert _tree_sha(result) == base_sha, (

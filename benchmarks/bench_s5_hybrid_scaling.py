@@ -49,11 +49,10 @@ from repro.core.bfs import build_bfs_forest
 from repro.experiments.harness import (
     Table,
     add_workers_argument,
-    select_workers,
     tier_filter,
 )
 from repro.net.shard import effective_workers
-from repro.runtime import HYBRID_TIERS, RunContext
+from repro.runtime import HYBRID_TIERS, RunContext, resolve_workers
 from repro.graphs import generators as G
 from repro.graphs.portgraph import PortGraph
 from repro.hybrid.components import (
@@ -375,7 +374,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     hybrid_filter = tier_filter("hybrid", args.hybrid)
-    workers = select_workers(args.workers)
+    workers = resolve_workers(args.workers)
     # One resolved context shards every network the pipeline constructs
     # internally — no more mutating REPRO_WORKERS for child code to
     # re-sniff (results are bit-for-bit identical at every count).

@@ -21,16 +21,16 @@ from repro.core.topologies import (
     build_sorted_path,
     build_sorted_ring,
 )
-from repro.experiments.harness import Table, select_tier
+from repro.experiments.harness import Table
 from repro.graphs.generators import line_graph
-from repro.runtime import RunContext
+from repro.runtime import RunContext, select_choice
 
 
 def bench_x1_structured_overlays(benchmark):
     # Every rooting tier builds the identical tree; REPRO_ROOTING selects
     # the execution path under measurement — one resolved context carries
     # it into every network the build constructs.
-    ctx = RunContext.resolve(rooting=select_tier("rooting", default="soa"))
+    ctx = RunContext.resolve(rooting=select_choice("rooting", default="soa"))
 
     def experiment():
         n = 256

@@ -23,14 +23,14 @@ import networkx as nx
 from _common import run_once, seeded
 from repro.baselines import supernode_merge
 from repro.core.pipeline import build_well_formed_tree
-from repro.experiments.harness import Table, select_tier
+from repro.experiments.harness import Table
 from repro.graphs import generators as G
 from repro.hybrid.monitoring import NetworkMonitor
-from repro.runtime import RunContext
+from repro.runtime import RunContext, select_choice
 
 
 def bench_x2_monitor_battery(benchmark):
-    rooting = select_tier("rooting", default="soa")
+    rooting = select_choice("rooting", default="soa")
     # One resolved context carries the tier into every network the
     # builds below construct.
     ctx = RunContext.resolve(rooting=rooting)

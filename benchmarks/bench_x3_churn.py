@@ -12,17 +12,17 @@ churn levels.
 
 from _common import run_once, seeded
 from repro.core.pipeline import build_well_formed_tree
-from repro.experiments.harness import Table, select_tier
+from repro.experiments.harness import Table
 from repro.graphs.churn import survival_curve
 from repro.graphs.generators import cycle_graph
-from repro.runtime import RunContext
+from repro.runtime import RunContext, select_choice
 
 
 def bench_x3_survival_curves(benchmark):
     # Identical overlay on every rooting tier; REPRO_ROOTING selects the
     # execution path under measurement — one resolved context carries it
     # into every network the build constructs.
-    ctx = RunContext.resolve(rooting=select_tier("rooting", default="soa"))
+    ctx = RunContext.resolve(rooting=select_choice("rooting", default="soa"))
 
     def experiment():
         n = 256

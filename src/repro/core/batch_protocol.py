@@ -202,7 +202,6 @@ def run_soa_expander(
     params: ExpanderParams | None = None,
     rng: np.random.Generator | None = None,
     capacity: CapacityPolicy | None = None,
-    engine: str = "vectorized",
     *,
     ctx: RunContext | None = None,
 ) -> ProtocolRunResult:
@@ -217,21 +216,17 @@ def run_soa_expander(
     ``run_expander_on_network(ExpanderNode, ..., rng_mode="shared")``
     under the same seed — pinned by ``tests/core/test_soa_engines.py``.
     Against the default per-node-spawned object run the comparison is
-    structural (schedule, metrics shape, benign invariants).  SoA classes
-    run on the vectorized delivery engine only.  A resolved ``ctx``
-    (:class:`~repro.runtime.context.RunContext`) is threaded into the
-    network (tracer, workers, fault hook).
+    structural (schedule, metrics shape, benign invariants).  A resolved
+    ``ctx`` (:class:`~repro.runtime.context.RunContext`) is threaded into
+    the network (tracer, workers, fault hook); SoA classes run on the
+    vectorized delivery engine only, so a ``"legacy"`` context raises.
     """
-    if engine != "vectorized":
-        raise ValueError(
-            f"the SoA tier requires the vectorized engine, got {engine!r}"
-        )
     if rng is None:
         rng = np.random.default_rng(0)
     n, neighbors, params, capacity = prepare_network_inputs(graph, params, capacity)
     proto_rng, net_rng = rng.spawn(2)
     cls = SoAExpanderClass(n, neighbors, params, proto_rng)
-    network = SyncNetwork(cls, capacity, net_rng, engine=engine, ctx=ctx)
+    network = SyncNetwork(cls, capacity, net_rng, ctx=ctx)
     total_rounds = params.num_evolutions * (params.ell + 2)
     metrics = network.run(max_rounds=total_rounds + 1)
     return ProtocolRunResult(

@@ -209,9 +209,8 @@ def run_expander_on_network(
     params: ExpanderParams | None = None,
     rng: np.random.Generator | None = None,
     capacity: CapacityPolicy | None = None,
-    engine: str = "vectorized",
-    rng_mode: str = "spawn",
     *,
+    rng_mode: str = "spawn",
     ctx: RunContext | None = None,
 ) -> ProtocolRunResult:
     """Shared scaffold for node-driven ``CreateExpander`` runs.
@@ -220,7 +219,7 @@ def run_expander_on_network(
     node; the scaffold owns parameter calibration, the RNG discipline,
     the round budget and final-graph assembly.  A resolved ``ctx``
     (:class:`~repro.runtime.context.RunContext`) is threaded into the
-    network (tracer, workers, fault hook); ``engine`` still wins.
+    network (delivery engine, tracer, workers, fault hook).
 
     ``rng_mode`` selects the randomness discipline:
 
@@ -250,7 +249,7 @@ def run_expander_on_network(
     nodes = {
         v: node_factory(v, neighbors[v], params, node_rng(v)) for v in range(n)
     }
-    network = SyncNetwork(nodes, capacity, net_rng, engine=engine, ctx=ctx)
+    network = SyncNetwork(nodes, capacity, net_rng, ctx=ctx)
     total_rounds = params.num_evolutions * (params.ell + 2)
     metrics = network.run(max_rounds=total_rounds + 1)
 
@@ -268,7 +267,6 @@ def run_protocol_expander(
     params: ExpanderParams | None = None,
     rng: np.random.Generator | None = None,
     capacity: CapacityPolicy | None = None,
-    engine: str = "vectorized",
     *,
     ctx: RunContext | None = None,
 ) -> ProtocolRunResult:
@@ -278,11 +276,9 @@ def run_protocol_expander(
     should be bidirected first — one extra round, which
     :func:`repro.core.pipeline.build_well_formed_tree` charges).  Returns
     the final evolution graph assembled from the acceptors' edge records,
-    plus full network metrics.  ``engine`` selects the network delivery
-    engine (``"legacy"`` is the per-message oracle; both engines produce
-    identical executions under the same seed).  ``ctx`` is threaded into
-    the network, as in :func:`run_expander_on_network`.
+    plus full network metrics.  ``ctx`` is threaded into the network, as
+    in :func:`run_expander_on_network`; ``ctx.engine`` selects the
+    delivery engine (``"legacy"`` is the per-message oracle; both engines
+    produce identical executions under the same seed).
     """
-    return run_expander_on_network(
-        ExpanderNode, graph, params, rng, capacity, engine, ctx=ctx
-    )
+    return run_expander_on_network(ExpanderNode, graph, params, rng, capacity, ctx=ctx)

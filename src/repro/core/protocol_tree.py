@@ -204,7 +204,6 @@ def run_protocol_rooting(
     rng: np.random.Generator | None = None,
     capacity: CapacityPolicy | None = None,
     max_rounds: int | None = None,
-    engine: str = "vectorized",
     *,
     ctx: RunContext | None = None,
 ) -> TreeProtocolResult:
@@ -226,8 +225,10 @@ def run_protocol_rooting(
     capacity:
         NCC0 budget; defaults to ``Δ`` messages per round, matching the
         evolution phase.
-    engine:
-        Network delivery engine (``"vectorized"`` or ``"legacy"``).
+    ctx:
+        The execution config (:class:`~repro.runtime.context.RunContext`)
+        threaded into the network; ``ctx.engine`` picks the delivery
+        engine (``"vectorized"`` or ``"legacy"``).
 
     Raises
     ------
@@ -239,7 +240,7 @@ def run_protocol_rooting(
         graph, flood_rounds, rng, capacity, max_rounds
     )
     nodes = _build_nodes(graph, flood_rounds)
-    network = SyncNetwork(nodes, capacity, rng, engine=engine, ctx=ctx)
+    network = SyncNetwork(nodes, capacity, rng, ctx=ctx)
     metrics = network.run(max_rounds=max_rounds)
     return _collect_result(nodes, graph.n, metrics)
 
@@ -251,10 +252,8 @@ def run_rooting_under_asynchrony(
     rng: np.random.Generator | None = None,
     capacity: CapacityPolicy | None = None,
     max_rounds: int | None = None,
-    engine: str = "vectorized",
-    tier: str = "soa",
-    fault_hook=None,
     *,
+    tier: str = "soa",
     ctx: RunContext | None = None,
 ) -> tuple[TreeProtocolResult, AsyncReport]:
     """Rooting under the footnote-2 synchroniser, on the SoA tier by default.
@@ -268,16 +267,15 @@ def run_rooting_under_asynchrony(
     :class:`TreeProtocolResult` plus the dilation report.  Because the
     synchroniser's delay stream is independent of delivery, the tree is
     identical to the synchronous run's under the same seed, at every
-    tier.  ``fault_hook`` threads an adversarial scenario's compiled
-    injector into the network.
+    tier.  ``ctx`` configures the network; its ``fault_hook`` threads an
+    adversarial scenario's compiled injector into the delivery tail.
     """
     rng, capacity, max_rounds = _resolve_defaults(
         graph, flood_rounds, rng, capacity, max_rounds
     )
     population = build_rooting_population(graph, flood_rounds, tier)
     report, network = run_with_asynchrony(
-        population, capacity, rng, max_delay, max_rounds,
-        engine=engine, fault_hook=fault_hook, ctx=ctx,
+        population, capacity, rng, max_delay, max_rounds, ctx=ctx
     )
     if tier == "soa":
         from repro.core.soa_rooting import collect_soa_result

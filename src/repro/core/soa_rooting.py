@@ -189,9 +189,6 @@ def run_soa_rooting(
     rng: np.random.Generator | None = None,
     capacity: CapacityPolicy | None = None,
     max_rounds: int | None = None,
-    engine: str = "vectorized",
-    workers: int | None = None,
-    tracer=None,
     *,
     ctx: RunContext | None = None,
 ) -> TreeProtocolResult:
@@ -200,27 +197,18 @@ def run_soa_rooting(
     Drop-in: same inputs, same :class:`TreeProtocolResult`, bit-for-bit
     identical ``(root, parent, depth)``, metrics, and round count under
     the same seed — only the execution tier (one call for all nodes over
-    shared columns) differs.  The SoA tier runs exclusively on the
-    vectorized delivery engine; ``engine`` is accepted for API symmetry
-    and rejected for anything else.  ``workers`` shards the delivery
-    tail's receiver sort (``None`` → ``REPRO_WORKERS``); every worker
-    count produces the identical execution, fault streams included.
-    ``tracer`` records a per-round trace (:mod:`repro.obs`) without
-    perturbing the run.  A resolved ``ctx``
-    (:class:`~repro.runtime.context.RunContext`) supplies all of the
-    above at once; explicit kwargs still win.
+    shared columns) differs.  A resolved ``ctx``
+    (:class:`~repro.runtime.context.RunContext`) configures the network:
+    ``ctx.workers`` shards the delivery tail's receiver sort (every
+    worker count produces the identical execution, fault streams
+    included) and ``ctx.tracer`` records a per-round trace
+    (:mod:`repro.obs`) without perturbing the run.  The SoA tier runs
+    exclusively on the vectorized delivery engine; a ``"legacy"``
+    context raises.
     """
-    if engine != "vectorized":
-        raise ValueError(
-            f"the SoA tier requires the vectorized engine, got {engine!r}"
-        )
     rng, capacity, max_rounds = _resolve_defaults(
         graph, flood_rounds, rng, capacity, max_rounds
     )
-    if ctx is None:
-        ctx = RunContext.resolve(engine=engine, workers=workers, tracer=tracer)
-    else:
-        ctx = ctx.with_overrides(engine=engine, workers=workers, tracer=tracer)
     cls = SoARootingClass(*csr_neighbors(graph), flood_rounds)
     network = SyncNetwork(cls, capacity, rng, ctx=ctx)
     metrics = network.run(max_rounds=max_rounds)

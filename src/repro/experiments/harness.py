@@ -24,9 +24,7 @@ __all__ = [
     "loglog_slope",
     "geometric_sizes",
     "ENGINE_CHOICES",
-    "select_tier",
     "tier_filter",
-    "select_workers",
     "add_engine_argument",
     "add_workers_argument",
 ]
@@ -37,39 +35,7 @@ __all__ = [
 #: execution-stack dimension (contract C8).
 from repro.runtime import ENGINES as ENGINE_CHOICES  # noqa: E402
 
-#: The benchmark-selectable dimensions (env var, fallback default, choice
-#: tuple per kind) — kept importable for tests and bench scripts, backed
-#: by :data:`repro.runtime.context.TIER_KINDS`.
-from repro.runtime import TIER_KINDS as _TIER_KINDS  # noqa: E402
-
-from repro.runtime import choice_specified as _choice_specified  # noqa: E402
-from repro.runtime import select_choice as _select_choice  # noqa: E402
-
-
-def select_tier(
-    kind: str = "engine",
-    cli_value: str | None = None,
-    default: str | None = None,
-    choices: tuple[str, ...] | None = None,
-) -> str:
-    """Resolve one benchmark-selectable dimension of the execution stack.
-
-    ``kind`` is ``"engine"`` (delivery engine / execution tier,
-    ``REPRO_ENGINE``), ``"rooting"`` (pipeline rooting mode,
-    ``REPRO_ROOTING``), ``"expander"`` (pipeline expander mode,
-    ``REPRO_EXPANDER``), or ``"hybrid"`` (§4 hybrid pipeline tier,
-    ``REPRO_HYBRID``).  Precedence: explicit CLI value > the kind's
-    environment variable > ``default`` (the kind's conventional default
-    when omitted).  Raises on unknown kinds and names so typos fail
-    loudly instead of silently benchmarking the wrong stack; pass
-    ``choices`` to restrict (e.g. ``ENGINE_CHOICES`` for engine-only
-    benches).
-
-    Delegates to :func:`repro.runtime.context.select_choice` — the same
-    resolution :meth:`repro.runtime.context.RunContext.resolve` applies,
-    so a bench flag and a context field can never disagree.
-    """
-    return _select_choice(kind, cli_value, default=default, choices=choices)
+from repro.runtime import choice_specified, select_choice  # noqa: E402
 
 
 def tier_filter(
@@ -77,14 +43,15 @@ def tier_filter(
     cli_value: str | None = None,
     choices: tuple[str, ...] | None = None,
 ) -> str | None:
-    """Like :func:`select_tier`, but ``None`` when the user chose nothing.
+    """Like :func:`repro.runtime.select_choice`, but ``None`` when the
+    user chose nothing.
 
     The standard bench pattern "time every stack unless the user
     restricted the run (CLI flag or env var)" — previously copy-pasted
     into each ``main()``.
     """
-    if _choice_specified(kind, cli_value):
-        return select_tier(kind, cli_value, choices=choices)
+    if choice_specified(kind, cli_value):
+        return select_choice(kind, cli_value, choices=choices)
     return None
 
 
@@ -96,19 +63,6 @@ def add_engine_argument(parser, choices: tuple[str, ...] = ENGINE_CHOICES) -> No
         default=None,
         help="network delivery engine (default: REPRO_ENGINE env var or 'vectorized')",
     )
-
-
-def select_workers(cli_value: int | None = None) -> int:
-    """Resolve the sharded-delivery worker count for the SoA tier.
-
-    Precedence mirrors :func:`select_tier`: explicit CLI value >
-    ``REPRO_WORKERS`` > 1.  A single source of truth with the network's
-    own resolution (:func:`repro.net.shard.resolve_workers`), so a bench
-    and the networks it constructs can never disagree on the count.
-    """
-    from repro.net.shard import resolve_workers
-
-    return resolve_workers(cli_value)
 
 
 def add_workers_argument(parser) -> None:

@@ -58,9 +58,14 @@ __all__ = [
 #: flat-column degree reduction / preparation / BFS).  Both produce
 #: bit-for-bit identical labels, forests, overlays, and ledger totals
 #: under a shared seed; benchmarks select via ``REPRO_HYBRID`` through
-#: :func:`repro.experiments.harness.select_tier`.  Authoritative in
+#: :func:`repro.runtime.select_choice`.  Authoritative in
 #: :mod:`repro.runtime.context`; re-exported here for compatibility.
-from repro.runtime import HYBRID_TIERS, RunContext, validate_tier  # noqa: E402
+from repro.runtime import (  # noqa: E402
+    HYBRID_TIERS,
+    RunContext,
+    context_or_default,
+    validate_tier,
+)
 
 
 @dataclass
@@ -301,7 +306,6 @@ def connected_components_hybrid(
     overlay_params: HybridOverlayParams | None = None,
     record_traces: bool = False,
     tier: str | None = None,
-    tracer=None,
     *,
     ctx: RunContext | None = None,
 ) -> ComponentsResult:
@@ -326,12 +330,14 @@ def connected_components_hybrid(
         loops practical at ``n ≥ 10⁵``.
     ctx:
         A resolved :class:`~repro.runtime.context.RunContext`; supplies
-        ``tier``/``tracer`` (and workers/fault spec for the networks the
-        SoA tier builds) when the kwargs are omitted — kwargs win.
+        ``tier`` when the kwarg is omitted (which wins), the tracer of
+        the stage spans, and workers/fault spec for the networks the SoA
+        tier builds.
     """
     if tier is None:
         tier = ctx.hybrid if ctx is not None else "object"
     validate_tier("hybrid", tier)
+    ctx = context_or_default(ctx)
     if tier == "soa":
         # Lazy import: soa_pipeline pulls the network stack in.
         from repro.hybrid.soa_pipeline import connected_components_hybrid_soa
@@ -342,16 +348,13 @@ def connected_components_hybrid(
             m_bound=m_bound,
             overlay_params=overlay_params,
             record_traces=record_traces,
-            tracer=tracer,
             ctx=ctx,
         )
     from repro.obs import maybe_span, resolve_tracer
 
     if rng is None:
         rng = np.random.default_rng(0)
-    if tracer is None and ctx is not None:
-        tracer = ctx.tracer
-    tracer = resolve_tracer(tracer)
+    tracer = resolve_tracer(ctx.tracer)
     adj = adjacency_sets(graph)
     ledger = HybridLedger()
 

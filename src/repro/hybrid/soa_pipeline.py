@@ -48,6 +48,7 @@ from repro.net.hybrid import HybridLedger
 from repro.net.network import CapacityPolicy, SyncNetwork
 from repro.net.soa import SoAInbox, SoAProtocolClass
 from repro.net.vectorops import group_argsort
+from repro.runtime import context_or_default
 
 __all__ = [
     "CSRAdjacency",
@@ -898,7 +899,6 @@ def connected_components_hybrid_soa(
     m_bound: int | None = None,
     overlay_params=None,
     record_traces: bool = False,
-    tracer=None,
     *,
     ctx=None,
 ):
@@ -913,8 +913,8 @@ def connected_components_hybrid_soa(
     per-node :func:`~repro.hybrid.components.connected_components_hybrid`
     outputs under a shared seed.
 
-    ``tracer`` (or an ambient :func:`repro.obs.capture` scope) records
-    each stage boundary as a ``cat="stage"`` span annotated with the
+    ``ctx.tracer`` (or an ambient :func:`repro.obs.capture` scope)
+    records each stage boundary as a ``cat="stage"`` span annotated with the
     stage's round charge — observation only, after the stage returns, so
     traced and untraced runs are bit-for-bit identical.
     """
@@ -926,9 +926,8 @@ def connected_components_hybrid_soa(
 
     if rng is None:
         rng = np.random.default_rng(0)
-    if tracer is None and ctx is not None:
-        tracer = ctx.tracer
-    tracer = resolve_tracer(tracer)
+    ctx = context_or_default(ctx)
+    tracer = resolve_tracer(ctx.tracer)
     ledger = SoAHybridLedger()
 
     with maybe_span(tracer, "spanner_broadcast", cat="stage", tier="soa") as sp:

@@ -34,7 +34,7 @@ loop below, and :class:`~repro.net.soa.SoAProtocolClass`
 populations through the columnar synchroniser of
 :mod:`repro.scenarios.soa_sync` (a flat delay queue over the staged
 inbox columns — one Python call per round regardless of ``n``), to which
-this function transparently dispatches.  An optional ``fault_hook``
+this function transparently dispatches.  A ``ctx.fault_hook``
 installs an oblivious message adversary (drops, crash isolation,
 partitions — see :mod:`repro.scenarios.spec`) in the delivery tail.
 """
@@ -76,12 +76,8 @@ def run_with_asynchrony(
     rng: np.random.Generator,
     max_delay: int,
     max_rounds: int,
-    engine: str = "vectorized",
-    require_quiescence: bool = True,
-    fault_hook=None,
-    workers: int | None = None,
-    tracer=None,
     *,
+    require_quiescence: bool = True,
     ctx: RunContext | None = None,
 ) -> tuple[AsyncReport, SyncNetwork]:
     """Run a protocol under random message delays with a synchroniser.
@@ -101,19 +97,17 @@ def run_with_asynchrony(
     — the function runs the protocol on the standard :class:`SyncNetwork`
     while accounting the asynchronous clock, and reports the dilation.
 
-    ``engine`` selects the delivery engine of object nodes.  Passing a
-    :class:`~repro.net.soa.SoAProtocolClass` as ``nodes`` dispatches to
-    the columnar SoA synchroniser (:mod:`repro.scenarios.soa_sync`),
-    whose flat delay queue materialises per-message release times without
-    any per-node Python work — bit-for-bit the same execution, at SoA
-    speed.  ``fault_hook`` installs an oblivious message adversary on the
-    network (see :class:`SyncNetwork`).  ``workers`` shards the SoA
-    delivery tail (``None`` → ``REPRO_WORKERS``); object nodes ignore
-    it, and every worker count yields the identical execution.
-    ``tracer`` records a per-round trace (:mod:`repro.obs`) — pure
-    observation, so a traced run is bit-for-bit the untraced one.  A
-    resolved ``ctx`` (:class:`~repro.runtime.context.RunContext`)
-    supplies workers/tracer/fault spec at once; explicit kwargs win.
+    Passing a :class:`~repro.net.soa.SoAProtocolClass` as ``nodes``
+    dispatches to the columnar SoA synchroniser
+    (:mod:`repro.scenarios.soa_sync`), whose flat delay queue
+    materialises per-message release times without any per-node Python
+    work — bit-for-bit the same execution, at SoA speed.  ``ctx``
+    (:class:`~repro.runtime.context.RunContext`) configures the network
+    as in :class:`SyncNetwork`: the delivery engine of object nodes, the
+    shard workers of the SoA tail (every count yields the identical
+    execution), the tracer (pure observation, so a traced run is
+    bit-for-bit the untraced one), and the oblivious message adversary
+    ``ctx.fault_hook``.
 
     Returns the timing report and the (already run) network, whose nodes
     hold the protocol's results.
@@ -143,22 +137,10 @@ def run_with_asynchrony(
             delay_rng,
             max_delay,
             max_rounds,
-            engine=engine,
             require_quiescence=require_quiescence,
-            fault_hook=fault_hook,
-            workers=workers,
-            tracer=tracer,
             ctx=ctx,
         )
-    network = SyncNetwork(
-        nodes,
-        capacity,
-        rng,
-        engine=engine,
-        fault_hook=fault_hook,
-        tracer=tracer,
-        ctx=ctx,
-    )
+    network = SyncNetwork(nodes, capacity, rng, ctx=ctx)
     observed = 0
     rounds = 0
     converged = False

@@ -18,7 +18,8 @@ per node.
 
 Two delivery engines
 --------------------
-``SyncNetwork(engine=...)`` selects how a round's traffic moves:
+``RunContext.engine`` (``SyncNetwork(..., ctx=...)``) selects how a
+round's traffic moves:
 
 - ``"vectorized"`` (default) packs the round into flat sender/receiver
   index buffers, truncates over-capacity groups with one permutation draw
@@ -58,9 +59,9 @@ from repro.net.message import Message
 from repro.net.soa import SoAInbox, SoAProtocolClass
 from repro.net.vectorops import group_argsort, segmented_keep_indices
 
-#: Valid values for ``SyncNetwork(engine=...)`` — authoritative in
-#: :mod:`repro.runtime.context`, re-exported here for compatibility.
-from repro.runtime import ENGINES, RunContext
+#: Valid values of ``RunContext.engine`` for a network — authoritative
+#: in :mod:`repro.runtime.context`, re-exported here for compatibility.
+from repro.runtime import ENGINES, RunContext, context_or_default
 
 __all__ = [
     "CapacityPolicy",
@@ -453,9 +454,13 @@ class ProtocolNode:
 class SyncNetwork:
     """Round-driven simulator with capacity enforcement and metrics.
 
-    ``fault_hook`` installs an oblivious message adversary in the delivery
-    tail: a callable ``hook(round_no, senders, receivers) -> keep`` over
-    the round's *remote* traffic in canonical order (real node ids,
+    ``ctx`` (:class:`~repro.runtime.context.RunContext`, or the bare-call
+    default of :func:`~repro.runtime.context.context_or_default`) selects
+    the delivery engine, shard workers, tracer and fault hook.
+
+    ``ctx.fault_hook`` installs an oblivious message adversary in the
+    delivery tail: a callable ``hook(round_no, senders, receivers) ->
+    keep`` over the round's *remote* traffic in canonical order (real node ids,
     parallel columns), returning ``None`` for "no faults this round", a
     boolean keep-mask, or ascending integer keep-indices (both forms are
     validated and decoded identically by both engines — see
@@ -472,30 +477,13 @@ class SyncNetwork:
         nodes: dict[int, ProtocolNode] | SoAProtocolClass,
         capacity: CapacityPolicy,
         rng: np.random.Generator,
-        engine: str | None = None,
-        fault_hook: Callable[[int, np.ndarray, np.ndarray], np.ndarray | None] | None = None,
-        workers: int | None = None,
-        tracer=None,
         *,
         ctx: RunContext | None = None,
     ) -> None:
-        # One execution config (contract C8): either the caller hands a
-        # resolved RunContext (kwargs still win, per the precedence
-        # chain), or the historical kwargs build one internally.  The
-        # engine never env-sniffs REPRO_ENGINE on the shim path — the
-        # kwarg default is pinned explicitly, preserving the pre-context
-        # semantics where only benches honoured that variable.
-        if ctx is None:
-            ctx = RunContext.resolve(
-                engine=engine or "vectorized",
-                workers=workers,
-                tracer=tracer,
-                fault_hook=fault_hook,
-            )
-        else:
-            ctx = ctx.with_overrides(
-                engine=engine, workers=workers, tracer=tracer, fault_hook=fault_hook
-            )
+        # One execution config (contract C8): the delivery engine, shard
+        # workers, tracer, fault hook and layout cache all come from
+        # ``ctx`` (the bare-call default when omitted).
+        ctx = context_or_default(ctx)
         engine = ctx.engine
         if engine == "soa":
             # "soa" names a node representation (tier), not a delivery
@@ -511,9 +499,8 @@ class SyncNetwork:
         self.round_no = 0
         # ``ctx.workers`` shards the SoA delivery tail's receiver sort
         # across a fork-inherited shared-memory pool (repro.net.shard) —
-        # results are bit-for-bit identical at every count.  ``None``
-        # resolved from REPRO_WORKERS (default 1); non-SoA populations
-        # ignore it.
+        # results are bit-for-bit identical at every count; non-SoA
+        # populations ignore it.
         self._workers = ctx.workers
         self._shards = None
         self._metrics = NetworkMetrics()
@@ -563,11 +550,10 @@ class SyncNetwork:
         # control arm of bench_s3's re-sort-elimination measurement.
         self._reuse_layouts = ctx.layout_reuse
         # ---- round-trace telemetry (C7: observes, never steers) -------
-        # Resolution order: explicit kwarg > context > ambient
-        # capture()/activate() tracer > REPRO_TRACE env singleton.  A
-        # context resolved *outside* a capture() scope carries
-        # ``tracer=None``, so the ambient session is still consulted at
-        # construction time — the pre-context semantics.  Untraced runs
+        # Resolution order: context > ambient capture()/activate()
+        # tracer > REPRO_TRACE env singleton.  A context resolved
+        # *outside* a capture() scope carries ``tracer=None``, so the
+        # ambient session is still consulted at construction time.  Untraced runs
         # keep every probe at a single ``is None`` check and materialise
         # nothing.
         tr = ctx.tracer

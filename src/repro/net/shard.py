@@ -5,8 +5,8 @@ passes, and the heaviest of them — the receiver-grouping sort plus the
 sorted gathers that build the next :class:`~repro.net.soa.SoAInbox` —
 parallelise cleanly: the inbox layout is already *sharded by receiver*
 (receiver-sorted columns are the concatenation of disjoint receiver
-ranges).  This module supplies the worker pool behind
-``SyncNetwork(workers=...)``:
+ranges).  This module supplies the worker pool behind ``RunContext.workers``
+(``SyncNetwork(..., ctx=...)``):
 
 - **arena**: one anonymous ``mmap`` (``MAP_SHARED``) per column, created
   *before* the workers fork so parent and children address the same
@@ -54,17 +54,10 @@ import numpy as np
 from repro import sanitize as _sanitize
 from repro.net.vectorops import group_argsort
 
-#: Environment variable consulted when ``workers`` is not given explicitly
-#: (the harness axis); resolution lives in :mod:`repro.runtime` with the
-#: rest of the precedence chain — re-exported here for compatibility.
-from repro.runtime import WORKERS_ENV, resolve_workers
-
 __all__ = [
-    "WORKERS_ENV",
     "ShardPool",
     "effective_workers",
     "fork_available",
-    "resolve_workers",
     "shard_bounds",
 ]
 

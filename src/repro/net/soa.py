@@ -268,7 +268,8 @@ class SoAProtocolClass:
       ascending (canonical node order; within one sender, emission order)
       — this is what makes the delivery RNG discipline, and therefore the
       whole execution, bit-for-bit identical to the object tier;
-    - the vectorized delivery engine only (`engine="vectorized"`).
+    - the vectorized delivery engine only (a ``legacy``-engine context
+      raises).
     """
 
     def __init__(self, n: int) -> None:

@@ -12,7 +12,7 @@ behind every probe point:
   ``int64``/``float64`` numpy columns with doubling growth, so the
   hot-path ``append`` is a handful of scalar array writes and **no**
   Python-object churn;
-- ambient activation — an explicit ``tracer=`` kwarg beats the
+- ambient activation — a context's ``RunContext.tracer`` beats the
   session-scoped :func:`activate`/:func:`capture` tracer, which beats
   the ``REPRO_TRACE=path`` environment singleton (flushed once at
   process exit).

@@ -2,12 +2,10 @@
 
 - :mod:`repro.runtime.context` — :class:`RunContext`, the one frozen
   execution-config object (contract C8), built through the
-  kwarg > CLI > env > default precedence chain; plus the authoritative
-  tier vocabularies and the single-field resolvers the harness and the
-  network delegate to.
-- :mod:`repro.runtime.registry` — :data:`WORKLOADS`, named protocol
-  populations with declared tier support and the registry-backed
-  ``validate_tier`` membership check.
+  kwarg > CLI > env > default precedence chain; ``context_or_default``,
+  the bare-call default every ``ctx=None`` entry point resolves; the
+  authoritative tier vocabularies with the shared ``validate_tier``
+  check; and the single-field resolvers the bench CLIs use.
 - :mod:`repro.runtime.envsource` — the only module allowed to read
   ``REPRO_*`` environment variables (repro-lint ``RL601``).
 
@@ -28,12 +26,13 @@ from repro.runtime.context import (
     WORKERS_ENV,
     RunContext,
     choice_specified,
+    context_or_default,
     resolve_workers,
     select_choice,
+    validate_tier,
     workers_specified,
 )
 from repro.runtime.envsource import ENV_PREFIX, env_flag, env_int, read_env
-from repro.runtime.registry import WORKLOADS, Workload, get_workload, validate_tier
 
 __all__ = [
     "ENGINES",
@@ -46,20 +45,13 @@ __all__ = [
     "TIER_KINDS",
     "WORKERS_ENV",
     "RunContext",
-    "WORKLOADS",
-    "Workload",
     "choice_specified",
+    "context_or_default",
     "env_flag",
     "env_int",
-    "get_workload",
     "read_env",
     "resolve_workers",
     "select_choice",
-    "select_workers",
     "validate_tier",
     "workers_specified",
 ]
-
-#: Back-compat alias: the harness historically named this
-#: ``select_workers``; both resolve through the same chain.
-select_workers = resolve_workers

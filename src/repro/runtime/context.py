@@ -3,12 +3,12 @@
 Every knob that selects *how* a population executes — delivery engine,
 rooting/expander/hybrid tier, shard worker count, tracer, sanitizer and
 debug flags, the layout-reuse toggle, the fault spec, the seed — used to
-be resolved independently at each call site (``select_tier`` here,
-``resolve_workers`` there, a raw ``REPRO_*`` read somewhere else).  This
-module replaces that scatter with one frozen dataclass built through one
-precedence chain:
+be resolved independently at each call site (a bench resolver here, a
+worker-count resolver there, a raw ``REPRO_*`` read somewhere else).
+This module replaces that scatter with one frozen dataclass built
+through one precedence chain:
 
-    explicit kwarg  >  CLI value  >  ``REPRO_*`` environment  >  default
+    explicit resolve() argument  >  CLI value  >  ``REPRO_*`` environment  >  default
 
 Contract C8 (``docs/contracts.md``): a :class:`RunContext` is immutable
 — context fields never change mid-run — and it is the *only*
@@ -21,11 +21,11 @@ Two construction paths:
   ``argparse`` namespace (or dict) whose matching attribute names are
   consulted between kwargs and the environment; unknown field names in
   ``overrides`` raise.
-- every public entry point of the stack keeps its historical kwargs
-  (``engine=``, ``workers=``, ``tracer=``, ...) as thin shims that build
-  a context internally via :meth:`RunContext.resolve` /
-  :meth:`RunContext.with_overrides` — so existing call sites keep
-  working unchanged while the resolution logic exists exactly once.
+- :func:`context_or_default` is what the library does with the
+  ``ctx=`` argument every entry point takes — the one spelling of
+  execution config below the CLI; no library function takes an
+  ``engine=``/``workers=``/``tracer=``/``fault_hook=`` parameter of its
+  own.  ``ctx=None`` resolves the bare-call default, spelled once here.
 
 The tier vocabulary (one tuple per stack dimension) is authoritative
 here: :mod:`repro.net.network`, :mod:`repro.core.pipeline`,
@@ -51,8 +51,10 @@ __all__ = [
     "WORKERS_ENV",
     "RunContext",
     "choice_specified",
+    "context_or_default",
     "resolve_workers",
     "select_choice",
+    "validate_tier",
     "workers_specified",
 ]
 
@@ -83,8 +85,7 @@ EXPANDER_MODES = ("walks", "protocol", "soa")
 #: (:func:`repro.hybrid.components.connected_components_hybrid`).
 HYBRID_TIERS = ("object", "soa")
 
-#: Environment variable of the shard worker count (kept importable from
-#: :mod:`repro.net.shard` for backward compatibility).
+#: Environment variable of the shard worker count.
 WORKERS_ENV = "REPRO_WORKERS"
 
 #: The choice-valued stack dimensions: field name → (env var, default,
@@ -94,6 +95,13 @@ TIER_KINDS: dict[str, tuple[str, str, tuple[str, ...]]] = {
     "rooting": ("REPRO_ROOTING", "reference", ROOTING_MODES),
     "expander": ("REPRO_EXPANDER", "walks", EXPANDER_MODES),
     "hybrid": ("REPRO_HYBRID", "object", HYBRID_TIERS),
+}
+
+#: Workload name → the tier vocabulary its ``tier=`` knob accepts.
+_WORKLOAD_TIERS = {
+    "rooting": ROOTING_TIERS,
+    "hybrid": HYBRID_TIERS,
+    "churn-rebuild": HYBRID_TIERS,
 }
 
 _SEED_ENV = "REPRO_SEED"
@@ -150,6 +158,19 @@ def resolve_workers(workers: int | None = None) -> int:
 def workers_specified(cli_value: int | None = None) -> bool:
     """Whether the user pinned a worker count (CLI or ``REPRO_WORKERS``)."""
     return cli_value is not None or read_env(WORKERS_ENV) is not None
+
+
+def validate_tier(workload: str, tier: str) -> str:
+    """``tier``, or a :class:`ValueError` listing the workload's choices —
+    the one tier-membership check every layer shares."""
+    if workload not in _WORKLOAD_TIERS:
+        raise ValueError(
+            f"unknown workload {workload!r}; known: {sorted(_WORKLOAD_TIERS)}"
+        )
+    tiers = _WORKLOAD_TIERS[workload]
+    if tier not in tiers:
+        raise ValueError(f"{workload} tier must be one of {tiers}, got {tier!r}")
+    return tier
 
 
 def _cli_value(cli, name: str):
@@ -223,7 +244,8 @@ class RunContext:
         ambient-session / ``REPRO_TRACE`` chain when unspecified.
     fault_hook:
         The oblivious message adversary installed in the delivery tail
-        (kwarg-only; no CLI or environment form).
+        (a :meth:`resolve` / :meth:`with_overrides` argument only; no
+        CLI or environment form).
     """
 
     engine: str = "vectorized"
@@ -300,8 +322,7 @@ class RunContext:
         return cls(**values)
 
     def with_overrides(self, **overrides) -> "RunContext":
-        """A copy with the non-``None`` overrides applied (validated);
-        the compatibility-shim merge: explicit kwargs beat the context."""
+        """A copy with the non-``None`` overrides applied (validated)."""
         known = {f.name for f in dataclass_fields(self)}
         unknown = set(overrides) - known
         if unknown:
@@ -362,3 +383,18 @@ class RunContext:
             "traced": self.tracer is not None,
             "fault_hook": self.fault_hook is not None,
         }
+
+
+def context_or_default(ctx: RunContext | None) -> RunContext:
+    """``ctx``, or the context of a bare library call.
+
+    The bare-call default runs the vectorized engine — the library never
+    reads ``REPRO_ENGINE``; only bench CLIs choose engines from the
+    environment — and resolves every other field through the chain:
+    ``REPRO_WORKERS``, ``REPRO_SOA_LAYOUT_REUSE``, the sanitizer flags,
+    and the tracer of an ambient :func:`repro.obs.capture` session or
+    ``REPRO_TRACE``.
+    """
+    if ctx is None:
+        ctx = RunContext.resolve(engine="vectorized")
+    return ctx

@@ -38,7 +38,7 @@ from repro.graphs.portgraph import PortGraph
 from repro.net.asynchrony import run_with_asynchrony
 from repro.net.network import CapacityPolicy
 from repro.obs import maybe_span, resolve_tracer
-from repro.runtime import RunContext, get_workload, validate_tier
+from repro.runtime import RunContext, context_or_default, validate_tier
 from repro.scenarios.spec import (
     CrashWave,
     LinkDelay,
@@ -64,7 +64,6 @@ def run_rooting_scenario(
     tier: str = "soa",
     capacity: CapacityPolicy | None = None,
     max_rounds: int | None = None,
-    tracer=None,
     *,
     ctx: RunContext | None = None,
 ) -> dict:
@@ -73,9 +72,11 @@ def run_rooting_scenario(
     Returns a flat JSON-able row.  The delivery RNG is seeded with
     ``seed``; the adversary draws only from the spec's own fault streams,
     so matched ``(spec, seed)`` cells see identical executions across
-    tiers.  A resolved ``tracer`` (kwarg or ambient — see
-    :mod:`repro.obs`) wraps the cell in a ``cat="scenario"`` span and
-    records the per-round tables underneath; rows are unchanged.
+    tiers.  The spec's compiled injector becomes the run's
+    ``fault_hook`` on top of ``ctx``.  A resolved tracer (``ctx.tracer``
+    or ambient — see :mod:`repro.obs`) wraps the cell in a
+    ``cat="scenario"`` span and records the per-round tables underneath;
+    rows are unchanged.
     """
     n = graph.n
     fr = rooting_flood_rounds(n)
@@ -84,10 +85,11 @@ def run_rooting_scenario(
     if max_rounds is None:
         max_rounds = 5 * fr + 8  # the rooting runners' default budget
     population = build_rooting_population(graph, fr, tier)
-    injector = spec.compile(n)
-    if tracer is None and ctx is not None:
-        tracer = ctx.tracer
-    tracer = resolve_tracer(tracer)
+    ctx = context_or_default(ctx)
+    tracer = resolve_tracer(ctx.tracer)
+    # The resolved tracer goes into the context too: the SoA synchroniser
+    # records its sync table from ``ctx.tracer`` alone.
+    ctx = ctx.with_overrides(fault_hook=spec.compile(n), tracer=tracer)
     # Wall time is this harness's deliverable (scenario rows report
     # duration); measurement is the point here.
     start = time.perf_counter()  # repro-lint: disable=RL202
@@ -107,8 +109,6 @@ def run_rooting_scenario(
             max_delay=spec.max_delay,
             max_rounds=max_rounds,
             require_quiescence=False,
-            fault_hook=injector,
-            tracer=tracer,
             ctx=ctx,
         )
     wall = time.perf_counter() - start  # repro-lint: disable=RL202
@@ -155,7 +155,6 @@ def run_churn_rebuild_scenario(
     seed: int,
     tier: str = "soa",
     overlay_params=None,
-    tracer=None,
     *,
     ctx: RunContext | None = None,
 ) -> dict:
@@ -195,9 +194,8 @@ def run_churn_rebuild_scenario(
     csr = CSRAdjacency.from_graph(graph).induced_by(alive)
     truth, _ = flood_min_ids_columns(csr)
 
-    if tracer is None and ctx is not None:
-        tracer = ctx.tracer
-    tracer = resolve_tracer(tracer)
+    ctx = context_or_default(ctx)
+    tracer = resolve_tracer(ctx.tracer)
     # Wall time is this harness's deliverable (scenario rows report
     # duration); measurement is the point here.
     start = time.perf_counter()  # repro-lint: disable=RL202
@@ -215,7 +213,6 @@ def run_churn_rebuild_scenario(
             rng=np.random.default_rng(seed),
             overlay_params=overlay_params,
             tier=tier,
-            tracer=tracer,
             ctx=ctx,
         )
     wall = time.perf_counter() - start  # repro-lint: disable=RL202
@@ -336,17 +333,12 @@ class ScenarioRunner:
     from :data:`repro.hybrid.components.HYBRID_TIERS`, with
     ``overlay_params`` forwarded to the hybrid overlay).
 
-    ``tracer`` (optional) threads a :class:`repro.obs.Tracer` through
-    every cell — each row becomes a ``cat="scenario"`` span over its
-    per-round tables.  ``None`` still resolves an ambient
-    :func:`repro.obs.capture` scope inside the cell runners.
-
     ``ctx`` (optional) threads one resolved
     :class:`~repro.runtime.context.RunContext` through every cell —
     workers, tracer, sanitize/debug flags — while the grid's own axes
-    (``tiers``, seeds) still come from the runner; the cell runners'
-    explicit arguments win over context fields, per the precedence
-    chain.
+    (``tiers``, seeds) still come from the runner.  A traced cell
+    (``ctx.tracer``, or an ambient :func:`repro.obs.capture` scope)
+    becomes a ``cat="scenario"`` span over its per-round tables.
     """
 
     sizes: tuple[int, ...] = (512,)
@@ -356,7 +348,6 @@ class ScenarioRunner:
     chords: int = 2
     workload: str = "rooting"
     overlay_params: object | None = None
-    tracer: object | None = None
     ctx: RunContext | None = None
 
     def __post_init__(self) -> None:
@@ -364,11 +355,8 @@ class ScenarioRunner:
             raise ValueError(
                 f"workload must be 'rooting' or 'churn-rebuild', got {self.workload!r}"
             )
-        # Registry-backed tier support (repro.runtime.registry): each
-        # workload declares its tier vocabulary once.
-        workload = get_workload(self.workload)
         for tier in self.tiers:
-            workload.validate_tier(tier)
+            validate_tier(self.workload, tier)
         self._graphs: dict[int, PortGraph] = {}
 
     def graph_for(self, n: int) -> PortGraph:
@@ -388,12 +376,9 @@ class ScenarioRunner:
                 seed,
                 tier=tier,
                 overlay_params=self.overlay_params,
-                tracer=self.tracer,
                 ctx=self.ctx,
             )
-        return run_rooting_scenario(
-            self.graph_for(n), spec, seed, tier=tier, tracer=self.tracer, ctx=self.ctx
-        )
+        return run_rooting_scenario(self.graph_for(n), spec, seed, tier=tier, ctx=self.ctx)
 
     def run_spec(self, spec: ScenarioSpec) -> list[dict]:
         """All (size, tier, seed) cells of one spec."""

@@ -38,7 +38,7 @@ from repro.net.asynchrony import AsyncReport
 from repro.net.network import CapacityPolicy, SyncNetwork
 from repro.net.soa import SoAInbox, SoAProtocolClass
 from repro.net.vectorops import group_argsort
-from repro.runtime import RunContext
+from repro.runtime import RunContext, context_or_default
 
 __all__ = ["SoADelayQueue", "run_soa_synchroniser"]
 
@@ -154,12 +154,8 @@ def run_soa_synchroniser(
     delay_rng: np.random.Generator,
     max_delay: int,
     max_rounds: int,
-    engine: str = "vectorized",
-    require_quiescence: bool = True,
-    fault_hook=None,
-    workers: int | None = None,
-    tracer=None,
     *,
+    require_quiescence: bool = True,
     ctx: RunContext | None = None,
 ) -> tuple[AsyncReport, SyncNetwork]:
     """Drive an SoA population under the footnote-2 synchroniser.
@@ -172,20 +168,13 @@ def run_soa_synchroniser(
     is what makes delay/churn sweeps practical at ``n ≥ 10⁵``
     (``benchmarks/bench_s4_scenario_scaling.py``).
 
-    ``workers`` shards the delivery tail (see :mod:`repro.net.shard`);
+    ``ctx.workers`` shards the delivery tail (see :mod:`repro.net.shard`);
     the fault hook and the delay queue sit *outside* the sharded sort —
     the hook sees the canonical pre-sort stream and the queue the merged
     receiver-sorted columns — so every worker count reproduces the
     identical execution, delay draws and fault streams included.
     """
-    if ctx is None:
-        ctx = RunContext.resolve(
-            engine=engine, workers=workers, tracer=tracer, fault_hook=fault_hook
-        )
-    else:
-        ctx = ctx.with_overrides(
-            engine=engine, workers=workers, tracer=tracer, fault_hook=fault_hook
-        )
+    ctx = context_or_default(ctx)
     tracer = ctx.tracer
     network = SyncNetwork(soa_class, capacity, rng, ctx=ctx)
     # Traced runs additionally record the synchroniser's own per-round

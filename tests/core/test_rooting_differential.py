@@ -24,6 +24,7 @@ from repro.core.protocol_tree import run_protocol_rooting, run_rooting_under_asy
 from repro.core.soa_rooting import run_soa_rooting
 from repro.graphs import generators as G
 from repro.graphs.analysis import bfs_distances
+from repro.runtime import RunContext
 
 SEEDS = range(20)
 TIERS = ("object", "soa")
@@ -60,7 +61,8 @@ class TestDifferentialMatrix:
         graph = small_expander(40, seed)
         vec = run_protocol_rooting(graph, FLOOD_ROUNDS, rng=np.random.default_rng(seed))
         leg = run_protocol_rooting(
-            graph, FLOOD_ROUNDS, rng=np.random.default_rng(seed), engine="legacy"
+            graph, FLOOD_ROUNDS, rng=np.random.default_rng(seed),
+            ctx=RunContext.resolve(engine="legacy")
         )
         assert vec.root == leg.root
         assert np.array_equal(vec.parent, leg.parent)

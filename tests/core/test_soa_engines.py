@@ -29,6 +29,7 @@ from repro.core.protocol_tree import run_protocol_rooting
 from repro.core.soa_rooting import SoARootingClass, csr_neighbors, run_soa_rooting
 from repro.graphs import generators as G
 from repro.graphs.portgraph import PortGraph
+from repro.runtime import RunContext
 
 SEEDS = range(20)
 ENGINES = ("legacy", "vectorized")
@@ -54,7 +55,7 @@ class TestRootingObjectVsSoA:
         soa = run_soa_rooting(graph, fr, rng=np.random.default_rng(seed))
         for engine in ENGINES:
             obj = run_protocol_rooting(
-                graph, fr, rng=np.random.default_rng(seed), engine=engine
+                graph, fr, rng=np.random.default_rng(seed), ctx=RunContext.resolve(engine=engine)
             )
             assert soa.root == obj.root, engine
             assert np.array_equal(soa.parent, obj.parent), engine
@@ -86,7 +87,7 @@ class TestRootingObjectVsSoA:
 
     def test_soa_rejects_legacy_engine(self):
         with pytest.raises(ValueError, match="vectorized"):
-            run_soa_rooting(overlay_like(32, 0), 6, engine="legacy")
+            run_soa_rooting(overlay_like(32, 0), 6, ctx=RunContext.resolve(engine="legacy"))
 
     def test_unreached_nodes_raise(self):
         # Two disjoint rings: the flood never crosses, BFS cannot span.
@@ -117,7 +118,7 @@ class TestExpanderObjectVsSoA:
             g,
             params=params,
             rng=np.random.default_rng(seed),
-            engine=engine,
+            ctx=RunContext.resolve(engine=engine),
             rng_mode="shared",
         )
         soa = run_soa_expander(g, params=params, rng=np.random.default_rng(seed))
@@ -178,7 +179,7 @@ class TestExpanderObjectVsSoA:
 
     def test_soa_rejects_legacy_engine(self):
         with pytest.raises(ValueError, match="vectorized"):
-            run_soa_expander(G.cycle_graph(16), engine="legacy")
+            run_soa_expander(G.cycle_graph(16), ctx=RunContext.resolve(engine="legacy"))
 
 
 class TestPipelineSoAModes:

@@ -302,9 +302,9 @@ class TestComponentsEquivalence:
         """Runs under whichever REPRO_HYBRID the environment selects —
         the CI tier-matrix job exercises both values so neither path can
         silently rot."""
-        from repro.experiments.harness import select_tier
+        from repro.runtime import select_choice
 
-        tier = select_tier("hybrid")
+        tier = select_choice("hybrid")
         g = mixture(7)
         result = connected_components_hybrid(
             g, rng=np.random.default_rng(7), m_bound=64, tier=tier

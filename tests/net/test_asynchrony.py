@@ -6,6 +6,7 @@ import pytest
 from repro.net.asynchrony import run_with_asynchrony
 from repro.net.message import Message
 from repro.net.network import CapacityPolicy, ProtocolNode
+from repro.runtime import RunContext
 
 
 class CounterNode(ProtocolNode):
@@ -210,7 +211,8 @@ class TestEngineSelection:
         nodes = make_spray()
         run_with_asynchrony(
             nodes, TestSplitRngEquivalence.TIGHT,
-            np.random.default_rng(3), max_delay=3, max_rounds=10, engine=engine,
+            np.random.default_rng(3), max_delay=3, max_rounds=10,
+            ctx=RunContext.resolve(engine=engine),
         )
         for v in nodes:
             assert nodes[v].received == baseline_nodes[v].received
@@ -247,7 +249,7 @@ class TestDropWorkloadsAcrossTiers:
             max_delay=3,
             max_rounds=3 * fr,
             require_quiescence=False,
-            fault_hook=spec.compile(n),
+            ctx=RunContext.resolve(fault_hook=spec.compile(n)),
         )
         if tier == "soa":
             parent = population.parent.copy()

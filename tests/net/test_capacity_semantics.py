@@ -20,6 +20,7 @@ from scipy import stats
 
 from repro.net.message import Message
 from repro.net.network import CapacityPolicy, ProtocolNode, SyncNetwork
+from repro.runtime import RunContext
 
 ENGINES = ["legacy", "vectorized"]
 
@@ -50,7 +51,7 @@ def surviving_payloads(engine, seed, num_messages, max_send):
         {0: sender, 1: sink},
         CapacityPolicy(max_send=max_send, max_receive=None),
         np.random.default_rng(seed),
-        engine=engine,
+        ctx=RunContext.resolve(engine=engine),
     )
     net.run(max_rounds=2)
     return [m.payload for m in sink.received]
@@ -86,7 +87,7 @@ class TestDroppedSubsetsAreUniform:
                 nodes,
                 CapacityPolicy(max_send=None, max_receive=cap),
                 np.random.default_rng(seed),
-                engine=engine,
+                ctx=RunContext.resolve(engine=engine),
             )
             net.run(max_rounds=2)
             assert len(sink.received) == cap
@@ -115,7 +116,7 @@ class TestSelfLoopExemption:
             {0: node, 1: sink},
             CapacityPolicy(max_send=cap, max_receive=cap),
             np.random.default_rng(0),
-            engine=engine,
+            ctx=RunContext.resolve(engine=engine),
         )
         metrics = net.run(max_rounds=3)
         assert len(node.received) == 7  # every self-send delivered
@@ -134,7 +135,7 @@ class TestSelfLoopExemption:
             {0: node},
             CapacityPolicy(max_send=1, max_receive=1),
             np.random.default_rng(0),
-            engine=engine,
+            ctx=RunContext.resolve(engine=engine),
         )
         metrics = net.run(max_rounds=3)
         assert len(node.received) == 20
@@ -153,7 +154,8 @@ class TestNoneDisablesTruncationExactly:
         for s in range(1, num_senders + 1):
             nodes[s] = BurstNode(s, [(0, "m", p) for p in range(per_sender)])
         net = SyncNetwork(
-            nodes, CapacityPolicy.unbounded(), np.random.default_rng(7), engine=engine
+            nodes, CapacityPolicy.unbounded(), np.random.default_rng(7),
+            ctx=RunContext.resolve(engine=engine)
         )
         metrics = net.run(max_rounds=2)
         assert len(sink.received) == num_senders * per_sender
@@ -166,7 +168,9 @@ class TestNoneDisablesTruncationExactly:
         nodes = {0: BurstNode(0, [(1, "m", p) for p in range(50)]), 1: sink}
         rng = np.random.default_rng(123)
         state_before = copy.deepcopy(rng.bit_generator.state)
-        net = SyncNetwork(nodes, CapacityPolicy.unbounded(), rng, engine=engine)
+        net = SyncNetwork(
+            nodes, CapacityPolicy.unbounded(), rng, ctx=RunContext.resolve(engine=engine)
+        )
         net.run(max_rounds=2)
         assert rng.bit_generator.state == state_before
 
@@ -180,7 +184,8 @@ class TestNoneDisablesTruncationExactly:
         rng = np.random.default_rng(321)
         state_before = copy.deepcopy(rng.bit_generator.state)
         net = SyncNetwork(
-            nodes, CapacityPolicy(max_send=cap, max_receive=cap), rng, engine=engine
+            nodes, CapacityPolicy(max_send=cap, max_receive=cap), rng,
+            ctx=RunContext.resolve(engine=engine)
         )
         metrics = net.run(max_rounds=2)
         assert rng.bit_generator.state == state_before

@@ -22,6 +22,7 @@ import pytest
 from repro.net.batch import KINDS, MessageBatch
 from repro.net.message import Message
 from repro.net.network import CapacityPolicy, ProtocolNode, SoAProtocolClass, SyncNetwork
+from repro.runtime import RunContext
 
 N_NODES = 24
 N_ROUNDS = 6
@@ -128,7 +129,9 @@ class SoAScriptedClass(SoAProtocolClass):
 
 def run_workload(plan, node_cls, engine, capacity, net_seed, rounds=N_ROUNDS + 1):
     nodes = {v: node_cls(v, plan[v]) for v in sorted(plan)}
-    net = SyncNetwork(nodes, capacity, np.random.default_rng(net_seed), engine=engine)
+    net = SyncNetwork(
+        nodes, capacity, np.random.default_rng(net_seed), ctx=RunContext.resolve(engine=engine)
+    )
     for _ in range(rounds):
         net.run_round()
     logs = {v: nodes[v].log for v in nodes}
@@ -194,7 +197,9 @@ class TestSoAEquivalence:
     def test_soa_rejects_legacy_engine(self):
         cls = SoAScriptedClass(4, {v: [[]] for v in range(4)})
         with pytest.raises(ValueError, match="vectorized"):
-            SyncNetwork(cls, CAPACITY, np.random.default_rng(0), engine="legacy")
+            SyncNetwork(
+                cls, CAPACITY, np.random.default_rng(0), ctx=RunContext.resolve(engine="legacy")
+            )
 
     def test_soa_rejects_unsorted_senders(self):
         class Unsorted(SoAProtocolClass):
@@ -246,7 +251,8 @@ class TestErrorEquivalence:
         plan = {v: [[(999, "ping", 1)]] if v == 0 else [[]] for v in range(4)}
         nodes = {v: ScriptedNode(v, plan[v]) for v in range(4)}
         net = SyncNetwork(
-            nodes, CapacityPolicy.unbounded(), np.random.default_rng(0), engine=engine
+            nodes, CapacityPolicy.unbounded(), np.random.default_rng(0),
+            ctx=RunContext.resolve(engine=engine)
         )
         with pytest.raises(KeyError, match="unknown node 999"):
             net.run_round()
@@ -259,7 +265,8 @@ class TestErrorEquivalence:
 
         nodes = {0: Forger(0), 1: ScriptedNode(1, [[]])}
         net = SyncNetwork(
-            nodes, CapacityPolicy.unbounded(), np.random.default_rng(0), engine=engine
+            nodes, CapacityPolicy.unbounded(), np.random.default_rng(0),
+            ctx=RunContext.resolve(engine=engine)
         )
         with pytest.raises(ValueError, match="forge"):
             net.run_round()

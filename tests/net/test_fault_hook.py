@@ -21,6 +21,7 @@ from repro.net.network import (
     _fault_keep_indices,
 )
 from repro.net.vectorops import segmented_keep_indices
+from repro.runtime import RunContext
 from repro.scenarios import CrashWave, MessageDrop, Partition, ScenarioSpec
 
 N = 12
@@ -58,8 +59,7 @@ def run_chatter(engine: str, hook, seed: int = 0, capacity=None, n: int = N):
         nodes,
         capacity or CapacityPolicy.unbounded(),
         np.random.default_rng(seed),
-        engine=engine,
-        fault_hook=hook,
+        ctx=RunContext.resolve(engine=engine, fault_hook=hook),
     )
     for _ in range(ROUNDS + 1):
         network.run_round()
@@ -191,8 +191,7 @@ class TestGappyNodeIdRegression:
             nodes,
             CapacityPolicy(4, 4),
             np.random.default_rng(seed),
-            engine=engine,
-            fault_hook=hook,
+            ctx=RunContext.resolve(engine=engine, fault_hook=hook),
         )
         for _ in range(ROUNDS + 1):
             network.run_round()

@@ -16,6 +16,7 @@ import pytest
 from repro.net.batch import MessageBatch
 from repro.net.network import CapacityPolicy, SyncNetwork
 from repro.net.soa import SoAInbox, SoAProtocolClass
+from repro.runtime import RunContext
 
 N = 8
 
@@ -47,7 +48,7 @@ def run_scripted(script, capacity=None, rounds=None, seed=0, workers=None):
         cls,
         capacity or CapacityPolicy.unbounded(),
         np.random.default_rng(seed),
-        workers=workers,
+        ctx=RunContext.resolve(workers=workers),
     )
     for _ in range(rounds if rounds is not None else len(script) + 1):
         net.run_round()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.net.message import Message
 from repro.net.network import CapacityPolicy, ProtocolNode, SyncNetwork
+from repro.runtime import RunContext
 
 
 class EchoNode(ProtocolNode):
@@ -164,7 +165,8 @@ class TestEarlyStopBookkeeping:
     def test_pending_messages_tracks_both_engines(self, engine):
         nodes = {0: EchoNode(0, target=1, payloads=4), 1: EchoNode(1)}
         net = SyncNetwork(
-            nodes, CapacityPolicy.unbounded(), np.random.default_rng(0), engine=engine
+            nodes, CapacityPolicy.unbounded(), np.random.default_rng(0),
+            ctx=RunContext.resolve(engine=engine)
         )
         assert net.pending_messages() == 0
         net.run_round()

@@ -13,6 +13,7 @@ import pytest
 
 from repro.net.message import Message
 from repro.net.network import CapacityPolicy, ProtocolNode, SyncNetwork
+from repro.runtime import RunContext
 
 
 class ObjectPairSprayer(ProtocolNode):
@@ -49,7 +50,9 @@ class ObjectPairSprayer(ProtocolNode):
 
 def _run(n, engine, capacity, seed, rounds=4):
     nodes = {v: ObjectPairSprayer(v, n, rounds) for v in range(n)}
-    net = SyncNetwork(nodes, capacity, np.random.default_rng(seed), engine=engine)
+    net = SyncNetwork(
+        nodes, capacity, np.random.default_rng(seed), ctx=RunContext.resolve(engine=engine)
+    )
     for _ in range(rounds + 1):
         net.run_round()
     return {v: nodes[v].log for v in nodes}, net.metrics.as_dict()
@@ -97,7 +100,8 @@ class TestPayloadPassthrough:
 
         nodes = {0: Sender(0), 1: Recorder(1)}
         net = SyncNetwork(
-            nodes, CapacityPolicy.unbounded(), np.random.default_rng(0), engine=engine
+            nodes, CapacityPolicy.unbounded(), np.random.default_rng(0),
+            ctx=RunContext.resolve(engine=engine)
         )
         net.run_round()
         net.run_round()

@@ -28,6 +28,7 @@ from repro.net.message import Message
 from repro.net.network import CapacityPolicy, ProtocolNode, SyncNetwork
 from repro.net.shard import ShardPool, effective_workers, fork_available
 from repro.net.vectorops import group_argsort
+from repro.runtime import RunContext
 
 
 @pytest.fixture
@@ -64,8 +65,7 @@ def run_chatter(hook=None, n: int = 8, rounds: int = 3, seed: int = 0):
         nodes,
         CapacityPolicy.unbounded(),
         np.random.default_rng(seed),
-        engine="vectorized",
-        fault_hook=hook,
+        ctx=RunContext.resolve(engine="vectorized", fault_hook=hook),
     )
     for _ in range(rounds + 1):
         network.run_round()
@@ -127,9 +127,13 @@ class TestArmedRunsAreIdentical:
         from repro.graphs.portgraph import PortGraph
 
         graph = PortGraph.ring_with_chords(300, delta=8, chords=1, seed=3)
-        a = run_soa_rooting(graph, 12, rng=np.random.default_rng(1), workers=2)
+        a = run_soa_rooting(
+            graph, 12, rng=np.random.default_rng(1), ctx=RunContext.resolve(workers=2)
+        )
         sanitize.ENABLED = False
-        b = run_soa_rooting(graph, 12, rng=np.random.default_rng(1), workers=1)
+        b = run_soa_rooting(
+            graph, 12, rng=np.random.default_rng(1), ctx=RunContext.resolve(workers=1)
+        )
         sanitize.ENABLED = True
         assert np.array_equal(a.parent, b.parent)
         assert np.array_equal(a.depth, b.depth)
@@ -148,8 +152,7 @@ class TestFaultHookValidation:
             nodes,
             CapacityPolicy.unbounded(),
             np.random.default_rng(0),
-            engine="vectorized",
-            fault_hook=hook,
+            ctx=RunContext.resolve(engine="vectorized", fault_hook=hook),
         )
         box["net"] = net
         with pytest.raises(sanitize.SanitizeError, match="consumed the delivery RNG"):
@@ -191,8 +194,7 @@ class TestFaultHookValidation:
             nodes,
             CapacityPolicy.unbounded(),
             np.random.default_rng(0),
-            engine="legacy",
-            fault_hook=hook,
+            ctx=RunContext.resolve(engine="legacy", fault_hook=hook),
         )
         with pytest.raises(sanitize.SanitizeError, match="mutated"):
             for _ in range(2):

@@ -11,8 +11,9 @@ this invariant.
 import numpy as np
 import pytest
 
-from repro.net.shard import ShardPool, resolve_workers, shard_bounds
+from repro.net.shard import ShardPool, shard_bounds
 from repro.net.vectorops import group_argsort
+from repro.runtime import resolve_workers
 
 
 def reference_sort(rcv, snd, pay, pay2):

@@ -20,6 +20,7 @@ from repro.core.soa_rooting import run_soa_rooting
 from repro.graphs.portgraph import PortGraph
 from repro.net.asynchrony import run_with_asynchrony
 from repro.net.network import CapacityPolicy
+from repro.runtime import RunContext
 from repro.scenarios import MessageDrop, ScenarioSpec
 
 SEEDS = range(20)
@@ -35,7 +36,7 @@ def _flood_rounds(n: int) -> int:
 
 def _run(graph, fr, seed, workers):
     return run_soa_rooting(
-        graph, fr, rng=np.random.default_rng(seed), workers=workers
+        graph, fr, rng=np.random.default_rng(seed), ctx=RunContext.resolve(workers=workers)
     )
 
 
@@ -74,7 +75,7 @@ class TestShardedRootingMatrix:
         graph = overlay_like(n, seed)
         fr = _flood_rounds(n)
         obj = run_protocol_rooting(
-            graph, fr, rng=np.random.default_rng(seed), engine="legacy"
+            graph, fr, rng=np.random.default_rng(seed), ctx=RunContext.resolve(engine="legacy")
         )
         sharded = _run(graph, fr, seed, 3)
         _assert_identical(sharded, obj)
@@ -112,9 +113,8 @@ class TestShardedScenarioInvariance:
                 np.random.default_rng(seed),
                 max_delay=4,
                 max_rounds=4 * _flood_rounds(n),
-                fault_hook=hook,
+                ctx=RunContext.resolve(fault_hook=hook, workers=workers),
                 require_quiescence=False,
-                workers=workers,
             )
             runs[workers] = (
                 report.logical_rounds,

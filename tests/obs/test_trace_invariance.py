@@ -2,7 +2,7 @@
 
 Tracing must never perturb what it observes — same trees, same metrics,
 same scenario rows, at every tier and worker count, whether the tracer
-arrives by kwarg, ambient :func:`~repro.obs.capture`, or the
+arrives by ``ctx``, ambient :func:`~repro.obs.capture`, or the
 ``REPRO_WORKERS``-sharded delivery tail.  The matrices here are the
 runtime half of the contract; the RL5xx repro-lint rules are the static
 half.
@@ -17,9 +17,9 @@ import pytest
 from repro.core.protocol_tree import run_protocol_rooting
 from repro.core.soa_rooting import run_soa_rooting
 from repro.graphs.portgraph import PortGraph
-from repro.net.shard import WORKERS_ENV
 from repro.obs import Tracer, capture
 from repro.obs.tracer import _reset_ambient_for_tests
+from repro.runtime import WORKERS_ENV, RunContext
 from repro.scenarios import CrashWave, ScenarioSpec
 from repro.scenarios.runner import run_rooting_scenario, tier_invariant_view
 
@@ -46,15 +46,13 @@ def sha(result) -> str:
 
 
 RUNNERS = {
-    "object": lambda g, s, **kw: run_protocol_rooting(
-        g, FLOOD, rng=np.random.default_rng(s), engine="legacy"
+    "object": lambda g, s: run_protocol_rooting(
+        g, FLOOD, rng=np.random.default_rng(s), ctx=RunContext.resolve(engine="legacy")
     ),
-    "object-vectorized": lambda g, s, **kw: run_protocol_rooting(
-        g, FLOOD, rng=np.random.default_rng(s), engine="vectorized"
+    "object-vectorized": lambda g, s: run_protocol_rooting(
+        g, FLOOD, rng=np.random.default_rng(s), ctx=RunContext.resolve(engine="vectorized")
     ),
-    "soa": lambda g, s, **kw: run_soa_rooting(
-        g, FLOOD, rng=np.random.default_rng(s), **kw
-    ),
+    "soa": lambda g, s: run_soa_rooting(g, FLOOD, rng=np.random.default_rng(s)),
 }
 
 
@@ -85,8 +83,7 @@ def test_traced_equals_untraced_across_worker_counts(workers):
             graph,
             FLOOD,
             rng=np.random.default_rng(seed),
-            workers=workers,
-            tracer=Tracer(),
+            ctx=RunContext.resolve(workers=workers, tracer=Tracer()),
         )
         assert sha(traced) == sha(base), f"workers={workers} seed={seed}"
         assert traced.metrics.as_dict() == base.metrics.as_dict()
@@ -100,7 +97,8 @@ def test_env_workers_path_traced(monkeypatch):
         base = run_soa_rooting(graph, FLOOD, rng=np.random.default_rng(seed))
         tracer = Tracer()
         traced = run_soa_rooting(
-            graph, FLOOD, rng=np.random.default_rng(seed), tracer=tracer
+            graph, FLOOD, rng=np.random.default_rng(seed),
+            ctx=RunContext.resolve(tracer=tracer),
         )
         assert sha(traced) == sha(base)
         # The sharded sort actually ran and was recorded.
@@ -119,7 +117,7 @@ def test_scenario_rows_invariant_under_tracing():
     base = run_rooting_scenario(graph, spec, seed=0, tier="soa")
     tracer = Tracer()
     traced = run_rooting_scenario(
-        graph, spec, seed=0, tier="soa", tracer=tracer
+        graph, spec, seed=0, tier="soa", ctx=RunContext.resolve(tracer=tracer)
     )
     assert tier_invariant_view(traced) == tier_invariant_view(base)
     scenario_spans = [sp for sp in tracer.spans if sp.cat == "scenario"]

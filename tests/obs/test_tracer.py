@@ -176,12 +176,13 @@ class TestNetworkWiring:
     """The engine-facing surface: per-round views exist exactly when a
     tracer resolved at network construction."""
 
-    def _run(self, **kwargs):
+    def _run(self, tracer=None):
         from repro.core.soa_rooting import run_soa_rooting
+        from repro.runtime import RunContext
 
         graph = PortGraph.ring_with_chords(64, delta=4, chords=1, seed=0)
         return run_soa_rooting(
-            graph, 8, rng=np.random.default_rng(0), **kwargs
+            graph, 8, rng=np.random.default_rng(0), ctx=RunContext.resolve(tracer=tracer)
         )
 
     def test_untraced_run_materialises_nothing(self):

@@ -5,8 +5,8 @@ One test class per context field pins the full chain
     explicit kwarg  >  CLI value  >  ``REPRO_*`` environment  >  default
 
 including the invalid-value error at each step, so the resolution order
-can never drift silently.  The registry's tier vocabulary and the
-shim-vs-context bit-for-bit equivalence live in ``test_registry.py`` /
+can never drift silently.  The shared tier check and the ctx-vs-bare-call
+bit-for-bit equivalence live in ``test_registry.py`` /
 ``test_ctx_invariance.py``.
 """
 
@@ -349,6 +349,75 @@ class TestSingleFieldResolvers:
         for field, (env_var, default, choices) in TIER_KINDS.items():
             assert env_var.startswith("REPRO_")
             assert default in choices
+
+
+#: (environment, resolver call, expected) — the bench CLIs call the
+#: single-field resolvers directly, so each precedence step gets a row.
+RESOLVER_ROWS = [
+    ({}, lambda: select_choice("engine"), "vectorized"),
+    ({}, lambda: select_choice("rooting"), "reference"),
+    ({}, lambda: select_choice("expander"), "walks"),
+    ({}, lambda: select_choice("hybrid"), "object"),
+    ({"REPRO_ROOTING": "protocol"}, lambda: select_choice("rooting"), "protocol"),
+    ({"REPRO_ROOTING": "protocol"}, lambda: select_choice("rooting", "soa"), "soa"),
+    (
+        {"REPRO_ROOTING": "protocol"},
+        lambda: select_choice("rooting", default="soa"),
+        "protocol",
+    ),
+    ({"REPRO_EXPANDER": "soa"}, lambda: select_choice("expander"), "soa"),
+    ({"REPRO_EXPANDER": "soa"}, lambda: select_choice("engine"), "vectorized"),
+    ({"REPRO_HYBRID": "bogus"}, lambda: select_choice("hybrid", "soa"), "soa"),
+    ({}, lambda: select_choice("engine", "soa", choices=TIER_CHOICES), "soa"),
+    ({}, lambda: resolve_workers(), 1),
+    ({"REPRO_WORKERS": "3"}, lambda: resolve_workers(), 3),
+    ({"REPRO_WORKERS": "3"}, lambda: resolve_workers(2), 2),
+]
+
+
+@pytest.mark.parametrize("env,call,expected", RESOLVER_ROWS)
+def test_single_field_resolver_rows(env, call, expected, monkeypatch):
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert call() == expected
+
+
+#: (environment, resolver call, error pattern) — a typo anywhere fails
+#: loudly, naming every valid choice so the fix is copy-pasteable.
+RESOLVER_ERRORS = [
+    (
+        {"REPRO_ENGINE": "warp-drive"},
+        lambda: select_choice("engine"),
+        r"engine must be one of \('legacy', 'vectorized', 'soa'\), got 'warp-drive'",
+    ),
+    (
+        {"REPRO_ROOTING": "warp-drive"},
+        lambda: select_choice("rooting"),
+        r"rooting must be one of \('reference', 'protocol', 'soa'\), got 'warp-drive'",
+    ),
+    (
+        {"REPRO_EXPANDER": "warp-drive"},
+        lambda: select_choice("expander"),
+        r"expander must be one of \('walks', 'protocol', 'soa'\), got 'warp-drive'",
+    ),
+    (
+        {"REPRO_HYBRID": "warp-drive"},
+        lambda: select_choice("hybrid"),
+        r"hybrid must be one of \('object', 'soa'\), got 'warp-drive'",
+    ),
+    ({}, lambda: select_choice("engine", "hyperdrive"), "engine must be one of"),
+    ({}, lambda: select_choice("engine", "soa", choices=ENGINES), "engine must be one of"),
+    ({"REPRO_WORKERS": "lots"}, lambda: resolve_workers(), "REPRO_WORKERS"),
+    ({}, lambda: resolve_workers(-1), ">= 1"),
+]
+
+
+@pytest.mark.parametrize("env,call,pattern", RESOLVER_ERRORS)
+def test_single_field_resolver_errors(env, call, pattern, monkeypatch):
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    with pytest.raises(ValueError, match=pattern):
+        call()
 
 
 def _pipeline_rooting(monkeypatch):

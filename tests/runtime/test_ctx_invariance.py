@@ -1,10 +1,12 @@
-"""Context-path vs kwarg-shim bit-for-bit equivalence (ISSUE 10 bar).
+"""Context-path vs bare-call bit-for-bit equivalence (contract C8).
 
-The refactor's acceptance criterion: threading one resolved
-:class:`~repro.runtime.context.RunContext` through an entry point
-produces *identical* trees, labels, and scenario rows to the historical
-kwarg spelling — across tiers, seeds, and worker counts.  Anything
-less means the context changed execution, not just configuration.
+Threading one resolved :class:`~repro.runtime.context.RunContext`
+through an entry point produces *identical* trees, labels, and scenario
+rows to the bare call (``ctx=None``, the library default) — across
+tiers, seeds, and worker counts.  Anything less means the context
+changed execution, not just configuration.  And the context is the only
+spelling: the engine it names is the engine every network runs, which
+the ``TestContextEngineReachesEveryNetwork`` cases pin.
 """
 
 from __future__ import annotations
@@ -14,12 +16,21 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.protocol_tree import run_protocol_rooting
+from repro.core.batch_protocol import run_soa_expander
+from repro.core.protocol import ExpanderNode, run_expander_on_network, run_protocol_expander
+from repro.core.protocol_tree import (
+    build_rooting_population,
+    run_protocol_rooting,
+    run_rooting_under_asynchrony,
+)
 from repro.core.pipeline import build_well_formed_tree
 from repro.core.soa_rooting import run_soa_rooting
 from repro.graphs import generators as G
 from repro.graphs.churn import rebuild_survivor_overlay
 from repro.graphs.portgraph import PortGraph
+from repro.net.asynchrony import run_with_asynchrony
+from repro.net.network import CapacityPolicy
+from repro.obs import Tracer
 from repro.runtime import RunContext
 
 SEEDS = range(12)
@@ -183,3 +194,82 @@ class TestScenarioRowInvariance:
         assert [tier_invariant_view(r) for r in via_ctx] == [
             tier_invariant_view(r) for r in plain
         ]
+
+
+
+def _rooting(ctx):
+    return run_protocol_rooting(
+        rooting_graph(0), FLOOD_ROUNDS, rng=np.random.default_rng(0), ctx=ctx
+    )
+
+
+def _protocol_expander(ctx):
+    return run_protocol_expander(G.cycle_graph(24), rng=np.random.default_rng(0), ctx=ctx)
+
+
+def _expander_on_network(ctx):
+    return run_expander_on_network(
+        ExpanderNode, G.cycle_graph(24), rng=np.random.default_rng(0), ctx=ctx
+    )
+
+
+def _asynchrony(ctx):
+    graph = rooting_graph(0)
+    return run_with_asynchrony(
+        build_rooting_population(graph, FLOOD_ROUNDS, "object"),
+        CapacityPolicy.ncc0(graph.n, graph.delta),
+        np.random.default_rng(0),
+        max_delay=2,
+        max_rounds=5 * FLOOD_ROUNDS + 8,
+        ctx=ctx,
+    )
+
+
+def _rooting_under_asynchrony(ctx):
+    return run_rooting_under_asynchrony(
+        rooting_graph(0), FLOOD_ROUNDS, 2, rng=np.random.default_rng(0), tier="object", ctx=ctx
+    )
+
+
+class TestContextEngineReachesEveryNetwork:
+    """The engine a context names is the engine every network it reaches
+    runs — otherwise ``ctx.as_dict()``, which bench artifacts embed,
+    would misreport the run (contract C8)."""
+
+    @pytest.mark.parametrize(
+        "runner",
+        [
+            _rooting,
+            _protocol_expander,
+            _expander_on_network,
+            _asynchrony,
+            _rooting_under_asynchrony,
+        ],
+        ids=[
+            "run_protocol_rooting",
+            "run_protocol_expander",
+            "run_expander_on_network",
+            "run_with_asynchrony",
+            "run_rooting_under_asynchrony",
+        ],
+    )
+    def test_every_net_table_runs_the_context_engine(self, runner):
+        tracer = Tracer()
+        runner(RunContext.resolve(engine="legacy", tracer=tracer))
+        tables = tracer.tables_of("net")
+        assert tables
+        assert [t.meta["engine"] for t in tables] == ["legacy"] * len(tables)
+
+    @pytest.mark.parametrize(
+        "run_soa",
+        [
+            lambda ctx: run_soa_rooting(rooting_graph(0), FLOOD_ROUNDS, ctx=ctx),
+            lambda ctx: run_soa_expander(G.cycle_graph(16), ctx=ctx),
+        ],
+        ids=["run_soa_rooting", "run_soa_expander"],
+    )
+    def test_soa_runner_rejects_a_legacy_context(self, run_soa):
+        with pytest.raises(
+            ValueError, match="SoA protocol classes require the vectorized engine"
+        ):
+            run_soa(RunContext.resolve(engine="legacy", tracer=Tracer()))

@@ -1,51 +1,11 @@
-"""Workload registry tests: declared tier support, lazy builders, and
-the one consistent choice-listing validation message shared by every
-layer that used to hand-roll the check."""
+"""Tier validation tests: the one consistent choice-listing message
+shared by every layer that used to hand-roll the check."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.runtime import (
-    HYBRID_TIERS,
-    ROOTING_TIERS,
-    RunContext,
-    WORKLOADS,
-    get_workload,
-    validate_tier,
-)
-
-
-class TestRegistryShape:
-    def test_known_workloads(self):
-        assert set(WORKLOADS) == {
-            "rooting",
-            "expander",
-            "hybrid",
-            "churn-rebuild",
-            "supernode-merge",
-            "pointer-jumping",
-            "flooding",
-        }
-
-    def test_entries_are_self_named(self):
-        for name, workload in WORKLOADS.items():
-            assert workload.name == name
-
-    def test_tier_fields_are_context_fields(self):
-        context_fields = set(RunContext().__dataclass_fields__)
-        for workload in WORKLOADS.values():
-            assert workload.tier_field in context_fields
-
-    def test_declared_tiers(self):
-        assert WORKLOADS["rooting"].tiers == ROOTING_TIERS
-        assert WORKLOADS["hybrid"].tiers == HYBRID_TIERS
-        assert WORKLOADS["churn-rebuild"].tiers == HYBRID_TIERS
-        assert WORKLOADS["supernode-merge"].tiers == ("object",)
-
-    def test_builders_load(self):
-        for workload in WORKLOADS.values():
-            assert callable(workload.load()), workload.name
+from repro.runtime import validate_tier
 
 
 class TestValidation:
@@ -61,18 +21,21 @@ class TestValidation:
             validate_tier("hybrid", "warp")
 
     def test_message_is_consistent_across_workloads(self):
-        for name in WORKLOADS:
+        for name in ("rooting", "hybrid", "churn-rebuild"):
             with pytest.raises(ValueError, match=f"{name} tier must be one of"):
                 validate_tier(name, "warp")
 
     def test_unknown_workload(self):
-        with pytest.raises(ValueError, match="unknown workload 'grooting'; known:"):
-            get_workload("grooting")
+        with pytest.raises(
+            ValueError,
+            match=r"unknown workload 'grooting'; known: \['churn-rebuild', 'hybrid', 'rooting'\]",
+        ):
+            validate_tier("grooting", "soa")
 
 
 class TestDedupedCallSites:
     """The three layers that owned private HYBRID_TIERS copies now raise
-    the registry's message (the ISSUE 10 dedupe satellite)."""
+    the shared message."""
 
     def test_components_site(self):
         import numpy as np
@@ -101,8 +64,8 @@ class TestDedupedCallSites:
     def test_scenario_runner_site(self):
         from repro.scenarios.runner import ScenarioRunner
 
-        # The runner validates against the registry entry, which reports
-        # under the *workload* name — same shape, same choice listing.
+        # The runner validates under the *workload* name — same shape,
+        # same choice listing.
         with pytest.raises(ValueError, match="churn-rebuild tier must be one of"):
             ScenarioRunner(workload="churn-rebuild", tiers=("warp",))
 

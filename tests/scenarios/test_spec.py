@@ -6,6 +6,7 @@ import pytest
 from repro.graphs.churn import fail_mask
 from repro.net.message import Message
 from repro.net.network import CapacityPolicy, ProtocolNode, SyncNetwork
+from repro.runtime import RunContext
 from repro.scenarios import (
     CrashWave,
     LinkDelay,
@@ -178,8 +179,7 @@ class TestFaultHookOnNetwork:
             nodes,
             CapacityPolicy.unbounded(),
             np.random.default_rng(0),
-            engine=engine,
-            fault_hook=self.SPEC.compile(n),
+            ctx=RunContext.resolve(engine=engine, fault_hook=self.SPEC.compile(n)),
         )
         for _ in range(rounds + 1):
             net.run_round()
@@ -213,7 +213,7 @@ class TestFaultHookOnNetwork:
             nodes,
             CapacityPolicy.unbounded(),
             np.random.default_rng(0),
-            fault_hook=spec.compile(1),
+            ctx=RunContext.resolve(fault_hook=spec.compile(1)),
         )
         for _ in range(6):
             net.run_round()
@@ -245,8 +245,7 @@ class TestRejoinBoundarySemantics:
             nodes,
             CapacityPolicy.unbounded(),
             np.random.default_rng(0),
-            engine=engine,
-            fault_hook=self.SPEC.compile(n),
+            ctx=RunContext.resolve(engine=engine, fault_hook=self.SPEC.compile(n)),
         )
         for _ in range(rounds + 1):
             net.run_round()
@@ -316,8 +315,7 @@ class TestPartitionBoundarySemantics:
             nodes,
             CapacityPolicy.unbounded(),
             np.random.default_rng(0),
-            engine=engine,
-            fault_hook=self.SPEC.compile(n),
+            ctx=RunContext.resolve(engine=engine, fault_hook=self.SPEC.compile(n)),
         )
         for _ in range(rounds + 1):
             net.run_round()

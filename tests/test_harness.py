@@ -9,47 +9,14 @@ from repro.experiments.harness import (
     fit_vs_logn,
     geometric_sizes,
     loglog_slope,
-    select_tier,
     tier_filter,
 )
-from repro.runtime import TIER_CHOICES
 
 
-class TestSelectTier:
-    """One resolver for every benchmark-selectable stack dimension."""
-
-    def test_kind_defaults(self, monkeypatch):
-        for var in ("REPRO_ENGINE", "REPRO_ROOTING", "REPRO_EXPANDER"):
-            monkeypatch.delenv(var, raising=False)
-        assert select_tier("engine") == "vectorized"
-        assert select_tier("rooting") == "reference"
-        assert select_tier("expander") == "walks"
-
-    def test_cli_beats_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ROOTING", "protocol")
-        assert select_tier("rooting") == "protocol"
-        assert select_tier("rooting", "soa") == "soa"
-        assert select_tier("rooting", default="soa") == "protocol"
-
-    def test_env_vars_are_per_kind(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXPANDER", "soa")
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert select_tier("expander") == "soa"
-        assert select_tier("engine") == "vectorized"
-
-    def test_typos_fail_loudly(self, monkeypatch):
-        with pytest.raises(ValueError, match="kind"):
-            select_tier("warp-drive")
-        with pytest.raises(ValueError, match="engine must be one of"):
-            select_tier("engine", "hyperdrive")
-        monkeypatch.setenv("REPRO_ROOTING", "nope")
-        with pytest.raises(ValueError, match="rooting must be one of"):
-            select_tier("rooting")
-
-    def test_choices_restriction(self):
-        with pytest.raises(ValueError):
-            select_tier("engine", "soa", choices=ENGINE_CHOICES)
-        assert select_tier("engine", "soa", choices=TIER_CHOICES) == "soa"
+class TestTierFilter:
+    """The bench pattern "time every stack unless the user restricted
+    the run"; the resolution itself is :func:`repro.runtime.select_choice`
+    (pinned in ``tests/runtime/test_context.py``)."""
 
     def test_filter_is_none_when_nothing_chosen(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
@@ -57,6 +24,26 @@ class TestSelectTier:
         assert tier_filter("engine", "legacy") == "legacy"
         monkeypatch.setenv("REPRO_ENGINE", "soa")
         assert tier_filter("engine") == "soa"
+
+    @pytest.mark.parametrize(
+        "kind,env_var",
+        [
+            ("engine", "REPRO_ENGINE"),
+            ("rooting", "REPRO_ROOTING"),
+            ("expander", "REPRO_EXPANDER"),
+            ("hybrid", "REPRO_HYBRID"),
+        ],
+    )
+    def test_none_without_env(self, kind, env_var, monkeypatch):
+        monkeypatch.delenv(env_var, raising=False)
+        assert tier_filter(kind) is None
+
+    def test_tier_filter_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_HYBRID", "soa")
+        assert tier_filter("hybrid") == "soa"
+        monkeypatch.setenv("REPRO_HYBRID", "typo")
+        with pytest.raises(ValueError, match="hybrid must be one of"):
+            tier_filter("hybrid")
 
     def test_engine_choices_are_the_delivery_engines(self):
         assert set(ENGINE_CHOICES) == {"legacy", "vectorized"}
@@ -120,94 +107,7 @@ class TestSizes:
             geometric_sizes(1, 10, factor=1.0)
 
 
-class TestEnvPlumbingMatrix:
-    """ISSUE 5 satellite: every stack dimension's env variable fails
-    loudly on invalid values (message lists the valid choices) and loses
-    to an explicit CLI value."""
-
-    KINDS = {
-        "engine": ("REPRO_ENGINE", "vectorized"),
-        "rooting": ("REPRO_ROOTING", "reference"),
-        "expander": ("REPRO_EXPANDER", "walks"),
-        "hybrid": ("REPRO_HYBRID", "object"),
-    }
-
-    @pytest.mark.parametrize("kind", sorted(KINDS))
-    def test_invalid_env_value_lists_choices(self, kind, monkeypatch):
-        env_var, _default = self.KINDS[kind]
-        monkeypatch.setenv(env_var, "warp-drive")
-        with pytest.raises(ValueError) as excinfo:
-            select_tier(kind)
-        message = str(excinfo.value)
-        assert f"{kind} must be one of" in message
-        assert "warp-drive" in message
-        # Every valid choice is named, so the fix is copy-pasteable.
-        from repro.experiments.harness import _TIER_KINDS
-
-        for choice in _TIER_KINDS[kind][2]:
-            assert choice in message
-
-    @pytest.mark.parametrize("kind", sorted(KINDS))
-    def test_cli_beats_env(self, kind, monkeypatch):
-        env_var, default = self.KINDS[kind]
-        from repro.experiments.harness import _TIER_KINDS
-
-        choices = _TIER_KINDS[kind][2]
-        other = next(c for c in choices if c != default)
-        monkeypatch.setenv(env_var, default)
-        assert select_tier(kind, cli_value=other) == other
-        # And an invalid env value is *still* overridden by a valid CLI
-        # value (the CLI is resolved first).
-        monkeypatch.setenv(env_var, "bogus")
-        assert select_tier(kind, cli_value=other) == other
-
-    @pytest.mark.parametrize("kind", sorted(KINDS))
-    def test_defaults_without_env(self, kind, monkeypatch):
-        env_var, default = self.KINDS[kind]
-        monkeypatch.delenv(env_var, raising=False)
-        assert select_tier(kind) == default
-        assert tier_filter(kind) is None
-
-    def test_invalid_cli_value_lists_choices(self):
-        with pytest.raises(ValueError, match="hybrid must be one of"):
-            select_tier("hybrid", cli_value="nope")
-
-    def test_tier_filter_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HYBRID", "soa")
-        assert tier_filter("hybrid") == "soa"
-        monkeypatch.setenv("REPRO_HYBRID", "typo")
-        with pytest.raises(ValueError, match="hybrid must be one of"):
-            tier_filter("hybrid")
-
-
-class TestSelectWorkers:
-    """The worker-count resolver shares one source of truth with the
-    network (``repro.net.shard.resolve_workers``), CLI > env > 1."""
-
-    def test_default_and_env(self, monkeypatch):
-        from repro.experiments.harness import select_workers
-
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert select_workers() == 1
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert select_workers() == 3
-
-    def test_cli_beats_env(self, monkeypatch):
-        from repro.experiments.harness import select_workers
-
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert select_workers(2) == 2
-
-    def test_garbage_raises(self, monkeypatch):
-        from repro.experiments.harness import select_workers
-
-        monkeypatch.setenv("REPRO_WORKERS", "lots")
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            select_workers()
-        monkeypatch.delenv("REPRO_WORKERS")
-        with pytest.raises(ValueError, match=">= 1"):
-            select_workers(-1)
-
+class TestWorkersArgument:
     def test_argparse_plumbing(self):
         import argparse
 
