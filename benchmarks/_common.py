@@ -1,8 +1,8 @@
 """Shared helpers for the experiment benchmarks.
 
-Each ``bench_*.py`` file regenerates one experiment from the index in
-DESIGN.md §3 (the paper has no measurement tables, so the reproduction
-targets are the theorem statements).  Conventions:
+Each ``bench_*.py`` file regenerates one experiment, named in its module
+docstring (the paper has no measurement tables, so the reproduction
+targets are the theorem statements; see ``docs/deviations.md``).  Conventions:
 
 - every bench prints a paper-style table (via
   :class:`repro.experiments.harness.Table`) with the measured rows;

@@ -6,7 +6,7 @@ minimum cut, w.h.p.
 
 Measured here: regularity and laziness structurally, the minimum cut with
 Stoer–Wagner, across workloads and seeds at the calibrated parameters.
-The cut floor is ``max(2, Λ/2)`` (DESIGN.md §5 — the paper's face-value
+The cut floor is ``max(2, Λ/2)`` (``docs/deviations.md``, "Parameter calibration" — the paper's face-value
 constants assume ``ℓ > 10⁶``).
 """
 

@@ -6,7 +6,7 @@ path ``P_0`` contains each node ``O(log⁴ n)`` times.
 
 Measured here: (a) tree validity and the covering-stream cost across an
 ``n`` sweep; (b) the *full* per-level expansion sizes on a small
-instance.  Finding (documented in EXPERIMENTS.md): the full ``|P_i|``
+instance.  Finding (documented in ``docs/deviations.md``): the full ``|P_i|``
 grows **multiplicatively** per level — each level multiplies path length
 by the non-lazy trace length, which Lemma 4.11's additive accounting
 understates.  The lazy covering stream (what the implementation uses)

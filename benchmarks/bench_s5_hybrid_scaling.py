@@ -19,10 +19,9 @@ broadcast dominates:
   identical array builder on both tiers, so the ported stages are the
   engine-controlled comparison — with a **hard assert**: SoA ≥ 10× at
   ``n = 10⁴`` (≥ 5× in ``--smoke``, same shape as S3's smoke relief);
-- wall-clock of the **well-forming tail** (ISSUE 8: child–sibling →
-  Euler tour → heap rebuild, per-tree objects vs
-  :func:`~repro.hybrid.components.well_formed_forest_columns`) with its
-  own hard assert: SoA ≥ 5× at ``n = 10⁴`` in smoke and full alike;
+  both tiers end in the same columnar well-forming
+  (:func:`~repro.core.euler.well_formed_forest_columns`), which is not
+  timed here;
 - a scenario-driven churn-rebuild sweep through
   :class:`~repro.scenarios.runner.ScenarioRunner`'s ``churn-rebuild``
   workload, completing at ``n = 10⁶`` on the SoA tier (``n = 2·10⁴`` in
@@ -55,11 +54,8 @@ from repro.net.shard import effective_workers
 from repro.runtime import HYBRID_TIERS, RunContext, resolve_workers
 from repro.graphs import generators as G
 from repro.graphs.portgraph import PortGraph
-from repro.hybrid.components import (
-    connected_components_hybrid,
-    well_formed_forest,
-    well_formed_forest_columns,
-)
+from repro.core.euler import well_formed_forest_columns
+from repro.hybrid.components import connected_components_hybrid
 from repro.hybrid.degree_reduction import reduce_degree
 from repro.hybrid.overlay import HybridOverlayParams, build_hybrid_overlay
 from repro.hybrid.soa_pipeline import (
@@ -77,10 +73,6 @@ SMOKE_SIZES = (2_000, 10_000)
 ASSERT_N = 10_000
 ASSERT_FACTOR = 10.0
 SMOKE_ASSERT_FACTOR = 5.0
-#: ISSUE 8 acceptance: columnar well-forming (child–sibling → Euler tour
-#: → heap rebuild) ≥ 5× the per-tree object path at n = 10⁴, in smoke
-#: and full alike — the stage is engine-controlled (same BFS forest in).
-WELLFORM_ASSERT_FACTOR = 5.0
 REBUILD_N_FULL = 1_000_000
 REBUILD_N_SMOKE = 20_000
 EQUIVALENCE_SEEDS = 12
@@ -137,12 +129,12 @@ def check_equivalence(seeds: int = EQUIVALENCE_SEEDS) -> None:
 def run_stages(tier: str, graph: PortGraph, seed: int, ctx: RunContext | None = None):
     """One pipeline run with per-stage wall clock.
 
-    Returns ``(stage_seconds, shared_seconds, wellform_seconds,
-    fingerprint)`` where ``stage_seconds`` covers the *ported* stages
-    (spanner, reduction, flood + BFS), ``shared_seconds`` the hybrid
-    evolutions (the identical array builder on both tiers), and
-    ``wellform_seconds`` the §4 well-forming tail (child–sibling →
-    Euler tour → heap rebuild) on the tier's own forest path.
+    Returns ``(stage_seconds, shared_seconds, fingerprint)`` where
+    ``stage_seconds`` covers the *ported* stages (spanner, reduction,
+    flood + BFS) and ``shared_seconds`` the hybrid evolutions (the
+    identical array builder on both tiers).  The well-forming tail runs
+    the one columnar engine on both tiers; it feeds the fingerprint but
+    is not timed.
     """
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
@@ -155,7 +147,6 @@ def run_stages(tier: str, graph: PortGraph, seed: int, ctx: RunContext | None = 
         t3 = time.perf_counter()
         bfs = build_bfs_forest(overlay.final_graph)
         t4 = time.perf_counter()
-        forest = well_formed_forest(bfs)
     else:
         spanner = build_spanner_soa(graph, rng, ctx=ctx)
         t1 = time.perf_counter()
@@ -165,8 +156,7 @@ def run_stages(tier: str, graph: PortGraph, seed: int, ctx: RunContext | None = 
         t3 = time.perf_counter()
         bfs = build_bfs_forest_soa(overlay.final_graph)
         t4 = time.perf_counter()
-        forest = well_formed_forest_columns(bfs)
-    t5 = time.perf_counter()
+    forest = well_formed_forest_columns(bfs)
     stage_seconds = (t1 - t0) + (t2 - t1) + (t4 - t3)
     fingerprint = (
         overlay.final_graph.ports.tobytes(),
@@ -175,7 +165,7 @@ def run_stages(tier: str, graph: PortGraph, seed: int, ctx: RunContext | None = 
         forest.rounds,
         tuple(overlay.ledger.phases),
     )
-    return stage_seconds, t3 - t2, t5 - t4, fingerprint
+    return stage_seconds, t3 - t2, fingerprint
 
 
 def run_experiment(
@@ -189,10 +179,9 @@ def run_experiment(
 
     table = Table(
         "S5: hybrid §4 pipeline — ported stages (spanner + reduction + BFS tail)",
-        ["n", "tier", "stage_seconds", "shared_evolutions", "wellform_seconds"],
+        ["n", "tier", "stage_seconds", "shared_evolutions"],
     )
     rows = {}
-    wellform_rows = {}
     for n in sizes:
         graph = hybrid_input_graph(n, seed=n)
         fingerprints = {}
@@ -201,18 +190,13 @@ def run_experiment(
                 continue
             best = None
             for _ in range(repeats):
-                stage_s, shared_s, wellform_s, fp = run_stages(
-                    tier, graph, seed=1, ctx=ctx
-                )
+                stage_s, shared_s, fp = run_stages(tier, graph, seed=1, ctx=ctx)
                 if best is None or stage_s < best[0]:
-                    best = (stage_s, shared_s, wellform_s, fp)
-            stage_s, shared_s, wellform_s, fp = best
+                    best = (stage_s, shared_s, fp)
+            stage_s, shared_s, fp = best
             rows[(n, tier)] = stage_s
-            wellform_rows[(n, tier)] = wellform_s
             fingerprints[tier] = fp
-            table.add(
-                n, tier, round(stage_s, 3), round(shared_s, 3), round(wellform_s, 3)
-            )
+            table.add(n, tier, round(stage_s, 3), round(shared_s, 3))
         if len(fingerprints) == 2:
             assert fingerprints["object"] == fingerprints["soa"], (
                 f"tiers diverged at n={n} — the timing is not engine-controlled"
@@ -220,7 +204,6 @@ def run_experiment(
     table.show()
 
     speedup = None
-    wellform_speedup = None
     if hybrid_filter is None:
         t_object = rows[(ASSERT_N, "object")]
         t_soa = rows[(ASSERT_N, "soa")]
@@ -234,18 +217,7 @@ def run_experiment(
             f"columnar hybrid stages only {speedup:.1f}x faster than per-node "
             f"at n={ASSERT_N} (need >= {factor}x)"
         )
-        wellform_speedup = (
-            wellform_rows[(ASSERT_N, "object")] / wellform_rows[(ASSERT_N, "soa")]
-        )
-        print(
-            f"n={ASSERT_N}: columnar well-forming (engine-controlled) "
-            f"speedup {wellform_speedup:.1f}x"
-        )
-        assert wellform_speedup >= WELLFORM_ASSERT_FACTOR, (
-            f"columnar well-forming only {wellform_speedup:.1f}x faster than "
-            f"per-tree at n={ASSERT_N} (need >= {WELLFORM_ASSERT_FACTOR}x)"
-        )
-    return rows, wellform_rows, speedup, wellform_speedup
+    return rows, speedup
 
 
 def run_churn_rebuild_sweep(smoke: bool, ctx: RunContext | None = None) -> list[dict]:
@@ -379,7 +351,7 @@ def main(argv=None) -> int:
     # internally — no more mutating REPRO_WORKERS for child code to
     # re-sniff (results are bit-for-bit identical at every count).
     ctx = RunContext.resolve(workers=workers)
-    rows, wellform_rows, speedup, wellform_speedup = run_experiment(
+    rows, speedup = run_experiment(
         smoke=args.smoke, hybrid_filter=hybrid_filter, ctx=ctx
     )
     rebuild_rows = []
@@ -409,15 +381,11 @@ def main(argv=None) -> int:
                 "n": n,
                 "tier": tier,
                 "stage_seconds": round(secs, 4),
-                "wellform_seconds": round(wellform_rows[(n, tier)], 4),
             }
             for (n, tier), secs in sorted(rows.items())
         ],
         checks={
             "stage_speedup_at_assert_n": round(speedup, 2) if speedup else None,
-            "wellform_speedup_at_assert_n": (
-                round(wellform_speedup, 2) if wellform_speedup else None
-            ),
             "trace": trace_check,
         },
         extra={"churn_rebuild": rebuild_rows},

@@ -19,7 +19,8 @@ Quick start::
     print(result.well_formed.depth())      # O(log n) depth
     print(result.well_formed.max_degree()) # <= 3
 
-Package map (see DESIGN.md for the full inventory):
+Package map (deviations from the paper and the parameter calibration
+are recorded in ``docs/deviations.md``):
 
 - :mod:`repro.core` — Sections 2–3: benign graphs, ``CreateExpander``,
   BFS, Euler-tour rebalancing, the Theorem 1.1 pipeline, and the

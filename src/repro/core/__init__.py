@@ -36,14 +36,10 @@ from repro.core.protocol_tree import (
 )
 from repro.core.soa_rooting import SoARootingClass, csr_neighbors, run_soa_rooting
 from repro.core.bfs import BFSForest, build_bfs_forest, distributed_bfs, flood_min_ids
-from repro.core.child_sibling import RootedTree, to_child_sibling
+from repro.core.child_sibling import RootedTree
 from repro.core.euler import (
-    EulerTour,
     WellFormedTree,
     build_well_formed_from_tree,
-    euler_tour,
-    heap_tree,
-    list_rank,
     preorder_and_sizes,
 )
 from repro.core.pipeline import OverlayBuildResult, build_well_formed_tree
@@ -89,13 +85,8 @@ __all__ = [
     "distributed_bfs",
     "flood_min_ids",
     "RootedTree",
-    "to_child_sibling",
-    "EulerTour",
     "WellFormedTree",
     "build_well_formed_from_tree",
-    "euler_tour",
-    "heap_tree",
-    "list_rank",
     "preorder_and_sizes",
     "OverlayBuildResult",
     "build_well_formed_tree",

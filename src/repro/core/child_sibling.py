@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.net.vectorops import group_argsort
 
-__all__ = ["RootedTree", "to_child_sibling", "to_child_sibling_columns"]
+__all__ = ["RootedTree", "to_child_sibling_columns"]
 
 
 @dataclass
@@ -78,34 +78,16 @@ class RootedTree:
         self.depth_array()
 
 
-def to_child_sibling(tree: RootedTree) -> RootedTree:
-    """Rewrite ``tree`` in child–sibling form.
-
-    For each node with children ``c₁ < c₂ < … < c_k`` (id order), the new
-    tree keeps ``parent(c₁) = v`` and sets ``parent(c_{i+1}) = c_i``.  The
-    result spans the same nodes with maximum degree ≤ 3.
-    """
-    children = tree.children_lists()
-    parent = np.arange(tree.n, dtype=np.int64)
-    for v, childs in enumerate(children):
-        for i, c in enumerate(childs):
-            parent[c] = v if i == 0 else childs[i - 1]
-    cs_tree = RootedTree(root=tree.root, parent=parent)
-    cs_tree.validate()
-    return cs_tree
-
-
 def to_child_sibling_columns(parent: np.ndarray) -> np.ndarray:
-    """Batched child–sibling transform over a whole forest at once.
+    """Rewrite every tree of a forest in child–sibling form at once.
 
     ``parent`` is a global parent array describing any rooted forest
-    (roots point to themselves).  Every tree is rewritten in
-    child–sibling form in one vectorized pass — for each node with
-    children ``c₁ < c₂ < … < c_k``, ``parent(c₁)`` stays put and
-    ``parent(c_{i+1})`` becomes ``c_i`` — which is exactly
-    :func:`to_child_sibling` applied to every component, without
-    per-component relabelling (child order is by node id, and any
-    monotone relabelling preserves it).
+    (roots point to themselves).  For each node with children
+    ``c₁ < c₂ < … < c_k`` (id order), ``parent(c₁)`` stays put and
+    ``parent(c_{i+1})`` becomes ``c_i``, in one vectorized pass over all
+    components — no per-component relabelling is needed, since child
+    order is by node id and any monotone relabelling preserves it.  Each
+    tree keeps its node set and gets maximum degree ≤ 3.
 
     Returns the new parent array; roots remain self-parented.
     """

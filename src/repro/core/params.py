@@ -5,8 +5,8 @@ the target degree ``Δ``, the minimum-cut parameter ``Λ``, and the number of
 evolutions ``L`` (an upper bound on ``log n``).  The theory requires
 ``Δ, Λ = Ω(log n)`` with "big enough" hidden constants and any constant
 ``ℓ``; :meth:`ExpanderParams.recommended` encodes the practical calibration
-documented in ``DESIGN.md`` §5, under which all benignness and growth
-invariants hold across the test matrix.
+documented in ``docs/deviations.md`` ("Parameter calibration"), under
+which all benignness and growth invariants hold across the test matrix.
 
 Structural constraints encoded here:
 
@@ -82,7 +82,7 @@ class ExpanderParams:
         theory (Lemma 3.12) maintains an ``Ω(log n)`` cut thereafter but
         with a constant that, at the paper's face values (``ℓ > 10⁶``), is
         astronomically conservative.  The practical invariant — calibrated
-        in DESIGN.md §5 and enforced by the E2 experiment — is that the
+        in ``docs/deviations.md`` and enforced by the E2 experiment — is that the
         cut never drops below ``max(2, Λ/2)`` and regrows once conductance
         rises.
         """
@@ -105,7 +105,7 @@ class ExpanderParams:
         extra_evolutions: int = 4,
     ) -> "ExpanderParams":
         """Practical parameters for an ``n``-node input of degree
-        ``max_degree`` (see DESIGN.md §5 for the calibration rationale).
+        ``max_degree`` (see ``docs/deviations.md`` for the calibration rationale).
 
         ``Λ = ⌈log₂ n⌉`` copies; ``Δ`` the smallest multiple of 8 that is
         at least ``max(32, 8·(log₂ n + 3))`` *and* large enough to hold

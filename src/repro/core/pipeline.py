@@ -226,7 +226,13 @@ def build_well_formed_tree(
         network the message-level phases construct (workers, tracer,
         fault spec, layout reuse).  Without one, the kwargs default to
         ``"reference"`` / ``"walks"`` exactly as before — the pipeline
-        itself never sniffs ``REPRO_*`` variables.
+        itself never sniffs ``REPRO_*`` variables.  ``ctx.tracer`` (or an
+        ambient :func:`repro.obs.capture` scope) records the three phases
+        as ``cat="stage"`` spans ``create_expander``, ``rooting`` and
+        ``well_forming``, each with a ``rounds`` attribute equal to the
+        round-ledger entries it covers (``prepare + evolutions``,
+        ``bfs``, ``well_forming``); tracing only observes, so traced and
+        untraced runs are bit-for-bit identical.
 
     Returns
     -------
@@ -247,25 +253,39 @@ def build_well_formed_tree(
         raise ValueError(f"expander must be one of {EXPANDER_MODES}, got {expander!r}")
     if rng is None:
         rng = np.random.default_rng(0)
+    from repro.obs import maybe_span, resolve_tracer
 
-    if expander == "walks":
-        expander_result = create_expander(
-            graph,
-            params=params,
-            rng=rng,
-            record_traces=record_traces,
-            gap_threshold=gap_threshold,
-            track_gap=track_gap,
-        )
-    else:
-        if record_traces or track_gap or verify_benign or gap_threshold is not None:
-            raise ValueError(
-                "record_traces/gap_threshold/track_gap/verify_benign require "
-                'the "walks" expander mode (message-level nodes keep no '
-                "evolution history)"
-            )
-        expander_result = _message_level_expander(graph, expander, params, rng, ctx)
+    tracer = resolve_tracer(ctx.tracer if ctx is not None else None)
     message_level = expander != "walks"
+
+    with maybe_span(tracer, "create_expander", cat="stage") as sp:
+        if not message_level:
+            expander_result = create_expander(
+                graph,
+                params=params,
+                rng=rng,
+                record_traces=record_traces,
+                gap_threshold=gap_threshold,
+                track_gap=track_gap,
+            )
+        else:
+            if record_traces or track_gap or verify_benign or gap_threshold is not None:
+                raise ValueError(
+                    "record_traces/gap_threshold/track_gap/verify_benign require "
+                    'the "walks" expander mode (message-level nodes keep no '
+                    "evolution history)"
+                )
+            expander_result = _message_level_expander(graph, expander, params, rng, ctx)
+        # Walk-engine evolutions are charged analytically (ℓ + 1 rounds
+        # each); message-level runs charge the NCC0 rounds they actually
+        # consumed (expander_result.rounds carries the +2 preparation).
+        evolution_rounds = (
+            expander_result.rounds - 2
+            if message_level
+            else len(expander_result.history) * (expander_result.params.ell + 1)
+        )
+        if sp is not None:
+            sp.attrs["rounds"] = 2 + evolution_rounds
 
     if verify_benign:
         for level, port_graph in enumerate(expander_result.levels):
@@ -281,27 +301,27 @@ def build_well_formed_tree(
                     f"evolution graph at level {level} violates Definition 2.1: {report}"
                 )
 
-    if rooting == "reference":
-        bfs = build_bfs_forest(expander_result.final_graph)
-    else:
-        bfs = _rooting_forest(expander_result.final_graph, rooting, rng, ctx)
+    with maybe_span(tracer, "rooting", cat="stage") as sp:
+        if rooting == "reference":
+            bfs = build_bfs_forest(expander_result.final_graph)
+        else:
+            bfs = _rooting_forest(expander_result.final_graph, rooting, rng, ctx)
+        if sp is not None:
+            sp.attrs["rounds"] = int(bfs.rounds)
     if len(bfs.roots) != 1:
         raise ValueError(
             "input graph is disconnected; use repro.hybrid.components for forests"
         )
-    tree = RootedTree(root=bfs.roots[0], parent=bfs.parent.copy())
-    well_formed = build_well_formed_from_tree(tree)
+
+    with maybe_span(tracer, "well_forming", cat="stage") as sp:
+        tree = RootedTree(root=bfs.roots[0], parent=bfs.parent.copy())
+        well_formed = build_well_formed_from_tree(tree)
+        if sp is not None:
+            sp.attrs["rounds"] = int(well_formed.rounds)
 
     ledger = {
         "prepare": 2,
-        # Walk-engine evolutions are charged analytically (ℓ + 1 rounds
-        # each); message-level runs charge the NCC0 rounds they actually
-        # consumed (expander_result.rounds carries the +2 preparation).
-        "evolutions": (
-            expander_result.rounds - 2
-            if message_level
-            else len(expander_result.history) * (expander_result.params.ell + 1)
-        ),
+        "evolutions": evolution_rounds,
         "bfs": bfs.rounds,
         "well_forming": well_formed.rounds,
     }

@@ -31,10 +31,11 @@ metrics under the same seed — enforced by
 ``tests/core/test_soa_engines.py`` against each other and against the
 reference :mod:`repro.core.bfs`.
 
-The final rebalancing (child–sibling + Euler tour) is charged
-analytically by the pipeline (DESIGN.md §2.7); its message pattern is one
-pointer-jump request per hosted tour element per round, which also fits
-the ``O(Δ)`` budget.
+The final rebalancing (child–sibling + Euler tour) runs as array code;
+the pipeline charges the rounds it actually performed
+(``docs/deviations.md``, "Well-forming round charge").  Its message
+pattern is one pointer-jump request per hosted tour element per round,
+which also fits the ``O(Δ)`` budget.
 """
 
 from __future__ import annotations

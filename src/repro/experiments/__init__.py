@@ -1,4 +1,5 @@
-"""Shared experiment harness for the benchmark suite (DESIGN.md §3)."""
+"""Shared experiment harness for the benchmark suite (``docs/deviations.md``,
+"Benchmarks and what they reproduce")."""
 
 from repro.experiments.harness import Table, fit_vs_logn, geometric_sizes, loglog_slope
 

@@ -1,7 +1,7 @@
 """Experiment harness: table formatting and scaling-law fits.
 
-Every benchmark in ``benchmarks/`` reproduces one paper claim (DESIGN.md
-§3) and prints a table of the measured rows.  Since the paper's claims are
+Every benchmark in ``benchmarks/`` reproduces one paper claim, named in
+its module docstring, and prints a table of the measured rows.  Since the paper's claims are
 asymptotic (``O(log n)`` rounds, ``Ω(√ℓ)`` growth, …), the harness
 provides the fits the claims are judged by:
 

@@ -24,7 +24,6 @@ from repro.hybrid.components import (
     ComponentForest,
     ComponentsResult,
     connected_components_hybrid,
-    well_formed_forest,
 )
 from repro.hybrid.soa_pipeline import (
     CSRAdjacency,
@@ -73,7 +72,6 @@ __all__ = [
     "ComponentForest",
     "ComponentsResult",
     "connected_components_hybrid",
-    "well_formed_forest",
     "CSRAdjacency",
     "ReducedColumns",
     "SoAHybridLedger",

@@ -19,18 +19,12 @@ The component *label* of a node is the minimum node id of its component
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.bfs import BFSForest, build_bfs_forest
-from repro.core.child_sibling import RootedTree, to_child_sibling_columns
-from repro.core.euler import (
-    WellFormedTree,
-    build_well_formed_from_tree,
-    euler_tour_forest,
-)
+from repro.core.euler import ComponentForest, well_formed_forest_columns
 from repro.graphs.analysis import adjacency_sets
 from repro.hybrid.degree_reduction import ReducedGraph, reduce_degree
 from repro.hybrid.overlay import (
@@ -46,7 +40,6 @@ __all__ = [
     "HYBRID_TIERS",
     "ComponentForest",
     "ComponentsResult",
-    "well_formed_forest",
     "well_formed_forest_columns",
     "connected_components_hybrid",
 ]
@@ -66,26 +59,6 @@ from repro.runtime import (  # noqa: E402
     context_or_default,
     validate_tier,
 )
-
-
-@dataclass
-class ComponentForest:
-    """Per-component well-formed trees assembled into global arrays.
-
-    ``parent[v]`` is ``v``'s parent in its component's well-formed tree
-    (roots point to themselves); ``root_of[v]`` identifies the component.
-    """
-
-    parent: np.ndarray
-    root_of: np.ndarray
-    trees: dict[int, WellFormedTree]
-    rounds: int
-
-    def max_depth(self) -> int:
-        return max((t.depth() for t in self.trees.values()), default=0)
-
-    def max_degree(self) -> int:
-        return max((t.max_degree() for t in self.trees.values()), default=0)
 
 
 @dataclass
@@ -125,178 +98,6 @@ class ComponentsResult:
             int(grouped[lo]): members[lo:hi]
             for lo, hi in zip(starts.tolist(), bounds[1:].tolist())
         }
-
-
-def well_formed_forest(bfs: BFSForest) -> ComponentForest:
-    """Transform every BFS tree of a forest into a well-formed tree.
-
-    Each component is relabelled to a compact index space, rebalanced via
-    the child–sibling + Euler tour pipeline, and written back into global
-    parent arrays.  Rounds are the maximum over components (they run in
-    parallel).
-    """
-    n = bfs.parent.shape[0]
-    parent = np.arange(n, dtype=np.int64)
-    trees: dict[int, WellFormedTree] = {}
-    rounds = 0
-
-    # Insertion order of ``members`` is the first occurrence of each
-    # root as ``v`` ascends; a component's root is its minimum member
-    # id (the flooding elects the minimum), so iteration is ascending
-    # by root — the order the columnar port reproduces.  The per-root
-    # transforms are independent, so ``rounds`` (a max) and the global
-    # writebacks are order-free regardless.
-    members: dict[int, list[int]] = {}
-    for v, root in enumerate(bfs.root_of.tolist()):
-        members.setdefault(root, []).append(v)
-
-    for root, nodes in members.items():
-        nodes = sorted(nodes)
-        index = {v: i for i, v in enumerate(nodes)}
-        local_parent = np.array(
-            [index[int(bfs.parent[v])] for v in nodes], dtype=np.int64
-        )
-        local_tree = RootedTree(root=index[root], parent=local_parent)
-        wft = build_well_formed_from_tree(local_tree)
-        trees[root] = wft
-        rounds = max(rounds, wft.rounds)
-        local = wft.tree.parent
-        for v in nodes:
-            parent[v] = nodes[int(local[index[v]])]
-
-    return ComponentForest(
-        parent=parent,
-        root_of=bfs.root_of.copy(),
-        trees=trees,
-        rounds=rounds,
-    )
-
-
-class _LazyForestTrees(Mapping):
-    """On-demand :class:`WellFormedTree` views over columnar forest state.
-
-    The columnar well-forming never materialises per-component Python
-    trees; this mapping rebuilds the compact-index
-    :class:`~repro.core.child_sibling.RootedTree` of a component only
-    when a consumer actually asks for it (tests, depth/degree audits),
-    bit-for-bit equal to the object path's ``trees[root]``.  Keys
-    iterate ascending by root id — the object path's insertion order.
-    """
-
-    def __init__(
-        self,
-        parent: np.ndarray,
-        roots: np.ndarray,
-        member_lists: np.ndarray,
-        member_bounds: np.ndarray,
-        comp_rounds: np.ndarray,
-    ) -> None:
-        self._parent = parent
-        self._roots = roots
-        self._members = member_lists
-        self._bounds = member_bounds
-        self._rounds = comp_rounds
-        self._cache: dict[int, WellFormedTree] = {}
-
-    def __len__(self) -> int:
-        return int(self._roots.shape[0])
-
-    def __iter__(self):
-        return iter(self._roots.tolist())
-
-    def __getitem__(self, root: int) -> WellFormedTree:
-        root = int(root)
-        cached = self._cache.get(root)
-        if cached is not None:
-            return cached
-        at = int(np.searchsorted(self._roots, root))
-        if at >= self._roots.shape[0] or self._roots[at] != root:
-            raise KeyError(root)
-        nodes = np.sort(self._members[self._bounds[at] : self._bounds[at + 1]])
-        local_parent = np.searchsorted(nodes, self._parent[nodes])
-        tree = RootedTree(
-            root=int(np.searchsorted(nodes, root)), parent=local_parent
-        )
-        wft = WellFormedTree(tree=tree, rounds=int(self._rounds[at]))
-        self._cache[root] = wft
-        return wft
-
-
-def well_formed_forest_columns(bfs: BFSForest) -> ComponentForest:
-    """Columnar :func:`well_formed_forest`: every component at once.
-
-    The Theorem 4.1 rebalancing as four flat passes over global arrays —
-    no per-component ``dict`` relabelling, no Python successor walk:
-
-    1. **child–sibling** conversion of the whole forest in one grouped
-       sort (:func:`~repro.core.child_sibling.to_child_sibling_columns`);
-    2. **Euler tours** of all components from the local successor rule,
-       positioned by one combined pointer-jumping ranking
-       (:func:`~repro.core.euler.euler_tour_forest` — the doubling
-       rounds are real, and charged per component);
-    3. **preorder ranks** by sorting ``(component, first_entry)`` — the
-       root's ``-1`` sentinel places it at rank 0 of its segment;
-    4. **heap rebuild**: the node of component-rank ``r`` attaches to
-       the node of rank ``⌊(r-1)/2⌋``, written straight into the global
-       parent array.
-
-    Output is bit-for-bit :func:`well_formed_forest`'s (parents, roots,
-    rounds, and the lazily materialised per-component trees) — pinned
-    over a 12-seed matrix in ``tests/hybrid/test_columnar_forest.py``.
-    """
-    n = bfs.parent.shape[0]
-    root_of = np.asarray(bfs.root_of, dtype=np.int64)
-    if n == 0:
-        return ComponentForest(
-            parent=np.arange(0, dtype=np.int64),
-            root_of=root_of.copy(),
-            trees={},
-            rounds=0,
-        )
-    cs_parent = to_child_sibling_columns(bfs.parent)
-    tour = euler_tour_forest(cs_parent, root_of)
-
-    # Rank nodes inside each component by first tour entry; the root's
-    # -1 sentinel sorts it to rank 0.  Keys are unique (entries are
-    # distinct within a component), so the default introsort is
-    # deterministic; key fits int64 for any n (root < n, entry < 2n).
-    ranked = np.argsort(root_of * np.int64(2 * n + 2) + tour.first_entry + 1)
-    grouped_roots = root_of[ranked]
-    starts = np.flatnonzero(
-        np.concatenate([[True], grouped_roots[1:] != grouped_roots[:-1]])
-    )
-    bounds = np.append(starts, n)
-    sizes = np.diff(bounds)
-    offsets = np.repeat(starts, sizes)
-    rank = np.arange(n, dtype=np.int64) - offsets
-
-    # Heap writeback: rank r (>= 1) hangs off rank (r - 1) // 2 of the
-    # same component segment; rank 0 is the root, self-parented.
-    parent = np.empty(n, dtype=np.int64)
-    heap_slot = np.maximum(offsets + (rank - 1) // 2, 0)
-    parent[ranked] = np.where(rank == 0, ranked, ranked[heap_slot])
-
-    # Per-component rounds: 1 child–sibling round + the component's
-    # real list-ranking rounds + ceil(log2 n_c) routing rounds
-    # (singletons cost nothing) — then the forest max, as the
-    # components rebalance in parallel.
-    rank_rounds = np.maximum.reduceat(tour.rank_rounds[ranked], starts)
-    routing = np.ceil(np.log2(np.maximum(2, sizes))).astype(np.int64)
-    comp_rounds = np.where(sizes == 1, 0, 1 + rank_rounds + routing)
-
-    trees = _LazyForestTrees(
-        parent=parent,
-        roots=grouped_roots[starts],
-        member_lists=ranked,
-        member_bounds=bounds,
-        comp_rounds=comp_rounds,
-    )
-    return ComponentForest(
-        parent=parent,
-        root_of=root_of.copy(),
-        trees=trees,
-        rounds=int(comp_rounds.max(initial=0)),
-    )
 
 
 def connected_components_hybrid(
@@ -387,7 +188,7 @@ def connected_components_hybrid(
     ledger.charge("min_id_flood_and_bfs", global_rounds=bfs.rounds)
 
     with maybe_span(tracer, "well_forming", cat="stage", tier="object") as sp:
-        forest = well_formed_forest(bfs)
+        forest = well_formed_forest_columns(bfs)
         if sp is not None:
             sp.attrs["rounds"] = int(forest.rounds)
     ledger.charge("well_forming", global_rounds=forest.rounds)

@@ -82,7 +82,8 @@ class HybridOverlayParams:
         m_bound: int | None = None,
         use_stitching: bool = True,
     ) -> "HybridOverlayParams":
-        """Calibrated hybrid parameters (DESIGN.md §5).
+        """Calibrated hybrid parameters (``docs/deviations.md``, "Parameter
+        calibration").
 
         ``Δ`` is ``Θ(log n)`` with room for the input's edges (at most
         half the ports); ``ℓ = 64`` (the ``Θ(Λ²)`` walk length at
@@ -194,7 +195,7 @@ class HybridExpanderBuilder:
             ]
         registry = EdgeRegistry(origins_acc, endpoints_acc, traces)
 
-        # Rescue rule (documented deviation, DESIGN.md §2.9): on very
+        # Rescue rule (docs/deviations.md, "Overlay rescue rule"): on very
         # small components, *all* of a node's surviving tokens may have
         # returned home, leaving it with only loop edges and silently
         # disconnecting it.  A node that would end an evolution with zero
@@ -309,7 +310,8 @@ def _benign_from_bounded_degree(
     and the paper's hybrid one (single copies).  This keeps sparse cuts
     (e.g. a line's single bridge edges) populated with enough crossing
     mass for the cut-regrowth argument to engage at practical walk
-    lengths; see DESIGN.md §2.8.
+    lengths; see ``docs/deviations.md``, "Hybrid preparation: edge
+    copies and walk length".
     """
     n = len(adj)
     max_degree = max((len(a) for a in adj), default=0)

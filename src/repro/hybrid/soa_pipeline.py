@@ -17,7 +17,7 @@ after rooting, the expander, and the synchroniser:
 - degree reduction, the benign preparation, the BFS/flooding tail, and
   the Theorem 4.1 well-forming (batched child–sibling conversion, forest
   Euler tours positioned by one combined pointer-jumping ranking, heap
-  writeback — :func:`repro.hybrid.components.well_formed_forest_columns`)
+  writeback — :func:`repro.core.euler.well_formed_forest_columns`)
   are pure column transforms (lexsort + ``reduceat``);
 - the evolutions reuse :class:`~repro.hybrid.overlay.HybridExpanderBuilder`
   (already array-native) with a :class:`SoAHybridLedger` injected so the
@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.bfs import BFSForest
+from repro.core.euler import well_formed_forest_columns
 from repro.graphs.portgraph import PortGraph
 from repro.net.batch import KINDS, MessageBatch
 from repro.net.hybrid import HybridLedger
@@ -918,10 +919,7 @@ def connected_components_hybrid_soa(
     stage's round charge — observation only, after the stage returns, so
     traced and untraced runs are bit-for-bit identical.
     """
-    from repro.hybrid.components import (
-        ComponentsResult,
-        well_formed_forest_columns,
-    )
+    from repro.hybrid.components import ComponentsResult
     from repro.obs import maybe_span, resolve_tracer
 
     if rng is None:

@@ -15,7 +15,8 @@ and Neiman, truncated to each component's size ``m``:
 4. every node of degree below the threshold ``c log n`` adds *all* its
    incident edges.
 
-**Documented deviation** (DESIGN.md §2.5): nodes that end up *inactive*
+**Documented deviation** (``docs/deviations.md``, "Spanner: inactive
+nodes keep all their edges"): nodes that end up *inactive*
 (heard no non-negative value) also add all their incident edges.  Lemma
 4.5 shows inactive nodes have degree ``< c log n`` w.h.p., so this is
 w.h.p. the same rule — but it makes the connectivity proof of Lemma 4.8

@@ -10,7 +10,8 @@ which it is **first** reached) yields a spanning tree; delegated edges of
 the reduced graph ``H`` are expanded through their delegation centre so
 the resulting tree uses only edges of ``G``.
 
-Implementation notes (DESIGN.md §2.6):
+Implementation notes (``docs/deviations.md``, "Spanning trees: a lazy
+unwinding stream"):
 
 - The level-by-level replacement is realised as a **lazy generator
   stream**: expansion recursion yields oriented level-0 traversals one at
@@ -18,7 +19,7 @@ Implementation notes (DESIGN.md §2.6):
   materialising ``P_0`` is *multiplicatively* expensive — each level
   multiplies path length by the non-lazy trace length — a point on which
   Lemma 4.11's additive accounting is optimistic (measured in experiment
-  E9; see EXPERIMENTS.md).  The covering prefix, by contrast, behaves
+  E9, ``benchmarks/bench_e9_spanning_tree.py``).  The covering prefix, by contrast, behaves
   like a covering random walk of the base graph and is short.
 - Loop-erasure is performed directly over ``G``-edges (delegation centres
   are expanded inside the stream), which makes the first-arrival edges a
@@ -36,7 +37,7 @@ import numpy as np
 
 from repro.core.bfs import build_bfs_forest
 from repro.core.child_sibling import RootedTree
-from repro.core.euler import euler_tour
+from repro.core.euler import euler_tour_forest
 from repro.graphs.analysis import adjacency_sets, is_connected
 from repro.graphs.portgraph import SELF_LOOP
 from repro.hybrid.degree_reduction import reduce_degree
@@ -156,6 +157,24 @@ class _WalkUnwinder:
             )
 
 
+def _tour_edges(parent: np.ndarray, root_of: np.ndarray) -> list[tuple[int, int]]:
+    """The Euler tour of a tree as its sequence of directed edges.
+
+    Rebuilt from the tour's entry/exit columns: position
+    ``first_entry[v]`` traverses ``(parent(v), v)`` and ``exit_entry[v]``
+    traverses ``(v, parent(v))``; the root (sentinel ``-1``) has neither.
+    """
+    tour = euler_tour_forest(parent, root_of)
+    child = np.flatnonzero(tour.first_entry >= 0)
+    tails = np.empty(2 * child.shape[0], dtype=np.int64)
+    heads = np.empty_like(tails)
+    tails[tour.first_entry[child]] = parent[child]
+    heads[tour.first_entry[child]] = child
+    tails[tour.exit_entry[child]] = child
+    heads[tour.exit_entry[child]] = parent[child]
+    return list(zip(tails.tolist(), heads.tolist()))
+
+
 def spanning_tree_hybrid(
     graph,
     rng: np.random.Generator | None = None,
@@ -235,7 +254,7 @@ def spanning_tree_hybrid(
     ledger.charge("overlay_bfs", global_rounds=bfs.rounds)
     tree = RootedTree(root=bfs.roots[0], parent=bfs.parent.copy())
 
-    tour = euler_tour(tree)
+    tour = _tour_edges(tree.parent, bfs.root_of)
     ledger.charge("euler_tour", global_rounds=2 * log_n)
 
     edge_ids = _tree_edge_ids(overlay.final_graph, tree)
@@ -255,7 +274,7 @@ def spanning_tree_hybrid(
     steps = 0
     current = root
 
-    for u, v in tour.edges:
+    for u, v in tour:
         for a, b in unwinder.expand(top_level, edge_ids[(u, v)], u, v):
             if a != current:
                 raise AssertionError(

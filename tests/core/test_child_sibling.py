@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core.child_sibling import RootedTree, to_child_sibling
+from repro.core.child_sibling import RootedTree, to_child_sibling_columns
+from wellform_oracle import to_child_sibling as oracle_child_sibling
+
+
+def to_child_sibling(tree: RootedTree) -> RootedTree:
+    """The library's columnar rewrite of one tree, checked against the
+    per-tree oracle on the way."""
+    cs = RootedTree(root=tree.root, parent=to_child_sibling_columns(tree.parent))
+    assert np.array_equal(cs.parent, oracle_child_sibling(tree).parent)
+    return cs
 
 
 def star_tree(n: int) -> RootedTree:

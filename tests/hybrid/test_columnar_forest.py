@@ -1,8 +1,9 @@
-"""Columnar well-formed forest (ISSUE 8): the SoA §4 tail end-to-end.
+"""Columnar well-formed forest: the §4 well-forming tail end-to-end.
 
-The acceptance matrix for the columnar well-forming port
-(:func:`repro.hybrid.components.well_formed_forest_columns`): bit-for-bit
-equality with the per-tree object oracle over ≥ 12 seeds — parents,
+The acceptance matrix for the columnar well-forming
+(:func:`repro.core.euler.well_formed_forest_columns`): bit-for-bit
+equality with the per-tree oracle (``tests/wellform_oracle.py``) over
+≥ 12 seeds — parents,
 roots, per-component trees, Euler tour entry/exit indices, and round
 counts — plus the operational coverage the port must not regress:
 shard-invariance of the rebuilt forest at ``REPRO_WORKERS`` 1/2/4, the
@@ -17,27 +18,19 @@ import pytest
 
 from repro import sanitize
 from repro.core.bfs import build_bfs_forest
-from repro.core.child_sibling import (
-    RootedTree,
-    to_child_sibling,
-    to_child_sibling_columns,
-)
+from repro.core.child_sibling import RootedTree, to_child_sibling_columns
 from repro.core.euler import (
-    euler_tour,
     euler_tour_forest,
-    list_rank,
     list_rank_with_finish,
+    well_formed_forest_columns,
 )
 from repro.graphs import generators as G
 from repro.graphs.analysis import adjacency_sets
 from repro.graphs.portgraph import PortGraph
-from repro.hybrid.components import (
-    connected_components_hybrid,
-    well_formed_forest,
-    well_formed_forest_columns,
-)
+from repro.hybrid.components import connected_components_hybrid
 from repro.scenarios import CrashWave, ScenarioSpec
 from repro.scenarios.runner import run_churn_rebuild_scenario, tier_invariant_view
+from wellform_oracle import euler_tour, list_rank, to_child_sibling, well_formed_forest
 
 MATRIX_SEEDS = range(12)
 

@@ -8,7 +8,7 @@ from repro.graphs.analysis import adjacency_sets, connected_components
 from repro.hybrid.components import (
     ComponentsResult,
     connected_components_hybrid,
-    well_formed_forest,
+    well_formed_forest_columns,
 )
 from repro.core.bfs import build_bfs_forest
 
@@ -135,7 +135,7 @@ class TestForest:
     def test_well_formed_forest_helper(self):
         mix, _ = G.component_mixture([G.line_graph(10), G.line_graph(12)])
         bfs = build_bfs_forest(adjacency_sets(mix))
-        forest = well_formed_forest(bfs)
+        forest = well_formed_forest_columns(bfs)
         assert set(forest.trees) == {0, 10}
         assert forest.max_degree() <= 3
 

@@ -152,3 +152,43 @@ def test_disabled_tracer_overhead_bounded():
     assert disabled <= base * 1.03 + 0.05, (
         f"disabled-tracer run regressed: {disabled:.4f}s vs {base:.4f}s"
     )
+
+
+@pytest.mark.parametrize("expander,rooting", [("walks", "reference"), ("soa", "soa")])
+def test_pipeline_stage_spans(expander, rooting):
+    """build_well_formed_tree names its three phases as stage spans whose
+    ``rounds`` match the round ledger, and the traced result is the
+    untraced one bit for bit."""
+    from repro.core.pipeline import build_well_formed_tree
+    from repro.graphs.generators import cycle_graph
+
+    graph = cycle_graph(96)
+
+    def run(**kwargs):
+        return build_well_formed_tree(
+            graph, rng=np.random.default_rng(3), expander=expander, rooting=rooting, **kwargs
+        )
+
+    base = run()
+    with capture() as tracer:
+        traced = run()
+    explicit = Tracer()
+    via_ctx = run(ctx=RunContext.resolve(tracer=explicit))
+    for result in (traced, via_ctx):
+        assert np.array_equal(result.well_formed.tree.parent, base.well_formed.tree.parent)
+        assert result.well_formed.root == base.well_formed.root
+        assert result.round_ledger == base.round_ledger
+        assert np.array_equal(result.bfs.parent, base.bfs.parent)
+    ledger = base.round_ledger
+    expected = {
+        "create_expander": ledger["prepare"] + ledger["evolutions"],
+        "rooting": ledger["bfs"],
+        "well_forming": ledger["well_forming"],
+    }
+    for tr in (tracer, explicit):
+        stages = {sp.name: sp for sp in tr.spans if sp.cat == "stage"}
+        assert set(expected) <= set(stages)
+        for name, rounds in expected.items():
+            assert stages[name].attrs["rounds"] == rounds, name
+        order = [sp.name for sp in tr.spans if sp.name in expected]
+        assert order == ["create_expander", "rooting", "well_forming"]

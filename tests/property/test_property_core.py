@@ -3,15 +3,18 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.child_sibling import RootedTree, to_child_sibling
+from repro.core.child_sibling import RootedTree, to_child_sibling_columns
 from repro.core.euler import (
     build_well_formed_from_tree,
-    euler_tour,
-    heap_tree,
-    list_rank,
+    list_rank_with_finish,
     preorder_and_sizes,
 )
 from repro.core.expander import _accept_tokens
+from wellform_oracle import euler_tour, heap_tree
+
+
+def to_child_sibling(tree: RootedTree) -> RootedTree:
+    return RootedTree(root=tree.root, parent=to_child_sibling_columns(tree.parent))
 
 
 @st.composite
@@ -76,7 +79,7 @@ class TestListRankProperties:
     def test_chain_distances(self, m):
         succ = np.arange(1, m + 1, dtype=np.int64)
         succ[-1] = -1
-        dist, rounds = list_rank(succ)
+        dist, _, rounds = list_rank_with_finish(succ)
         assert dist.tolist() == list(range(m - 1, -1, -1))
         if m > 1:
             assert rounds <= int(np.ceil(np.log2(m))) + 1
