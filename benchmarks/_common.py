@@ -20,7 +20,7 @@ import numpy as np
 
 #: Version tag of the machine-readable bench artifact layout.  Every
 #: ``BENCH_S*.json`` produced by ``--json`` carries this under
-#: ``"schema"`` so CI consumers (the shard-invariance job, dashboards)
+#: ``"schema"`` so consumers (CI artifact readers, dashboards)
 #: can hard-fail on layout drift instead of mis-parsing.
 BENCH_SCHEMA = "repro-bench/v1"
 
@@ -36,8 +36,8 @@ def bench_payload(
     """Assemble one bench result in the stable ``repro-bench/v1`` shape.
 
     ``bench`` names the experiment (``"s3_soa_scaling"``), ``config``
-    captures everything that selected the run (sizes, filters, worker
-    counts, smoke flag), ``rows`` is the flat list of measured rows
+    captures everything that selected the run (sizes, filters, smoke
+    flag), ``rows`` is the flat list of measured rows
     (plain scalars only — one dict per table row), and ``checks`` holds
     the hard-assert outcomes (speedup ratios, equality SHAs) so a JSON
     consumer sees what was *verified*, not just what was measured.

@@ -30,9 +30,7 @@ broadcast dominates:
 Run standalone:
 ``PYTHONPATH=src python benchmarks/bench_s5_hybrid_scaling.py``
 (``--smoke`` for the ~60 s CI variant; ``--hybrid`` restricts the timed
-tiers, also via ``REPRO_HYBRID``; ``--workers N`` shards the SoA delivery
-tail of the pipeline networks via ``REPRO_WORKERS`` — bit-for-bit
-identical results at every count; ``--json PATH`` sets the result file;
+tiers, also via ``REPRO_HYBRID``; ``--json PATH`` sets the result file;
 ``--trace PATH`` runs the ISSUE 9 satellite: a traced/untraced pipeline
 pair plus a traced churn-rebuild cell, invariance-checked, with the
 ``trace/v1`` artifact path and overhead recorded in the JSON checks).
@@ -45,13 +43,8 @@ import time
 import numpy as np
 
 from repro.core.bfs import build_bfs_forest
-from repro.experiments.harness import (
-    Table,
-    add_workers_argument,
-    tier_filter,
-)
-from repro.net.shard import effective_workers
-from repro.runtime import HYBRID_TIERS, RunContext, resolve_workers
+from repro.experiments.harness import Table, tier_filter
+from repro.runtime import HYBRID_TIERS, RunContext
 from repro.graphs import generators as G
 from repro.graphs.portgraph import PortGraph
 from repro.core.euler import well_formed_forest_columns
@@ -299,7 +292,7 @@ def run_trace_check(trace_path: str, ctx: RunContext | None = None) -> dict:
         traced_seconds = time.perf_counter() - t0
         traced_rows = rebuild_cell()
 
-    assert traced[3] == base[3], "tracing changed the hybrid pipeline output"
+    assert traced[2] == base[2], "tracing changed the hybrid pipeline output"
     assert [tier_invariant_view(r) for r in traced_rows] == [
         tier_invariant_view(r) for r in untraced_rows
     ], "tracing changed the churn-rebuild scenario rows"
@@ -335,7 +328,6 @@ def main(argv=None) -> int:
         default=None,
         help="restrict the timed tiers (default: REPRO_HYBRID env var or both)",
     )
-    add_workers_argument(parser)
     from _common import add_trace_argument
 
     add_trace_argument(parser)
@@ -346,11 +338,9 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     hybrid_filter = tier_filter("hybrid", args.hybrid)
-    workers = resolve_workers(args.workers)
-    # One resolved context shards every network the pipeline constructs
-    # internally — no more mutating REPRO_WORKERS for child code to
-    # re-sniff (results are bit-for-bit identical at every count).
-    ctx = RunContext.resolve(workers=workers)
+    # One resolved context configures every network the pipeline
+    # constructs internally.
+    ctx = RunContext.resolve()
     rows, speedup = run_experiment(
         smoke=args.smoke, hybrid_filter=hybrid_filter, ctx=ctx
     )
@@ -367,8 +357,6 @@ def main(argv=None) -> int:
         config={
             "smoke": args.smoke,
             "hybrid_filter": hybrid_filter,
-            "workers": workers,
-            "workers_effective": effective_workers(workers),
             "overlay_params": {
                 "delta": OVERLAY_PARAMS.delta,
                 "ell": OVERLAY_PARAMS.ell,

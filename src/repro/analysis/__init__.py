@@ -1,10 +1,10 @@
 """repro-lint: determinism-contract static analysis for the engine.
 
 The engine's headline guarantee — bit-for-bit equality across the
-object/SoA tiers, worker counts, and synchronisers — rests on
-source-level conventions (canonical RNG discipline, ascending-sender
-emission, int64 lanes, order-independent emission, disjoint shard
-writes).  This package checks those conventions mechanically:
+object/SoA tiers and synchronisers — rests on source-level conventions
+(canonical RNG discipline, ascending-sender emission, int64 lanes,
+order-independent emission).  This package checks those conventions
+mechanically:
 
 - ``python -m repro.analysis`` lints the tree against the registered
   rules (``--list-rules``), gated by the committed baseline

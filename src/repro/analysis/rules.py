@@ -14,7 +14,6 @@ Rule numbering groups by contract family:
 - ``RL1xx`` — RNG discipline (canonical generator usage);
 - ``RL2xx`` — determinism hazards (iteration order, wall clock);
 - ``RL3xx`` — columnar contracts (shared delivery columns, dtype lanes);
-- ``RL4xx`` — shard safety (disjoint writes inside worker bodies);
 - ``RL5xx`` — probe purity (telemetry observes, never perturbs);
 - ``RL6xx`` — configuration discipline (one env source, one context).
 
@@ -193,7 +192,6 @@ def all_rules() -> list[type[Rule]]:
         rules_determinism,
         rules_obs,
         rules_rng,
-        rules_shard,
     )
 
     return [REGISTRY[code] for code in sorted(REGISTRY)]

@@ -15,7 +15,7 @@ entirely; thread a context instead.
   ``src/repro/runtime/``: any ``os.environ[...]`` / ``os.environ.get``
   / ``os.getenv`` (and the write/delete forms) whose key is a
   ``REPRO_``-prefixed string literal, or a name following the repo's
-  ``*_ENV`` constant convention (``WORKERS_ENV``, ``TRACE_ENV``, ...).
+  ``*_ENV`` constant convention (``TRACE_ENV``, ...).
   Tests stay in scope: the sanctioned spelling there is
   ``monkeypatch.setenv``/``delenv``, which restores state and never
   reads.
@@ -46,8 +46,7 @@ def _is_repro_key(node: ast.AST) -> bool:
 
     String literals are matched by prefix; plain names are matched by the
     repo convention that env-var constants end in ``_ENV`` (they all hold
-    ``REPRO_*`` names — :data:`repro.runtime.context.WORKERS_ENV`,
-    :data:`repro.obs.tracer.TRACE_ENV`, ...).
+    ``REPRO_*`` names — :data:`repro.obs.tracer.TRACE_ENV`, ...).
     """
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value.startswith("REPRO_")

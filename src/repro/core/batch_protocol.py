@@ -218,7 +218,7 @@ def run_soa_expander(
     Against the default per-node-spawned object run the comparison is
     structural (schedule, metrics shape, benign invariants).  A resolved
     ``ctx`` (:class:`~repro.runtime.context.RunContext`) is threaded into
-    the network (tracer, workers, fault hook); SoA classes run on the
+    the network (tracer, fault hook); SoA classes run on the
     vectorized delivery engine only, so a ``"legacy"`` context raises.
     """
     if rng is None:

@@ -223,8 +223,8 @@ def build_well_formed_tree(
         A resolved :class:`~repro.runtime.context.RunContext`.  Supplies
         ``rooting`` / ``expander`` when those kwargs are omitted (the
         kwargs win per the precedence chain) and is threaded into every
-        network the message-level phases construct (workers, tracer,
-        fault spec, layout reuse).  Without one, the kwargs default to
+        network the message-level phases construct (tracer, fault spec,
+        layout reuse).  Without one, the kwargs default to
         ``"reference"`` / ``"walks"`` exactly as before — the pipeline
         itself never sniffs ``REPRO_*`` variables.  ``ctx.tracer`` (or an
         ambient :func:`repro.obs.capture` scope) records the three phases

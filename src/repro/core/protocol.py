@@ -219,7 +219,7 @@ def run_expander_on_network(
     node; the scaffold owns parameter calibration, the RNG discipline,
     the round budget and final-graph assembly.  A resolved ``ctx``
     (:class:`~repro.runtime.context.RunContext`) is threaded into the
-    network (delivery engine, tracer, workers, fault hook).
+    network (delivery engine, tracer, fault hook).
 
     ``rng_mode`` selects the randomness discipline:
 

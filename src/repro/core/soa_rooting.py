@@ -199,10 +199,9 @@ def run_soa_rooting(
     the same seed — only the execution tier (one call for all nodes over
     shared columns) differs.  A resolved ``ctx``
     (:class:`~repro.runtime.context.RunContext`) configures the network:
-    ``ctx.workers`` shards the delivery tail's receiver sort (every
-    worker count produces the identical execution, fault streams
-    included) and ``ctx.tracer`` records a per-round trace
-    (:mod:`repro.obs`) without perturbing the run.  The SoA tier runs
+    ``ctx.fault_hook`` installs a message adversary and ``ctx.tracer``
+    records a per-round trace (:mod:`repro.obs`) without perturbing the
+    run.  The SoA tier runs
     exclusively on the vectorized delivery engine; a ``"legacy"``
     context raises.
     """

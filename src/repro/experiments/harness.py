@@ -26,7 +26,6 @@ __all__ = [
     "ENGINE_CHOICES",
     "tier_filter",
     "add_engine_argument",
-    "add_workers_argument",
 ]
 
 #: The delivery engines of :class:`repro.net.network.SyncNetwork` — the
@@ -62,20 +61,6 @@ def add_engine_argument(parser, choices: tuple[str, ...] = ENGINE_CHOICES) -> No
         choices=choices,
         default=None,
         help="network delivery engine (default: REPRO_ENGINE env var or 'vectorized')",
-    )
-
-
-def add_workers_argument(parser) -> None:
-    """Attach the standard ``--workers`` flag to an argparse parser."""
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "shard the SoA delivery tail across this many workers "
-            "(default: REPRO_WORKERS env var or 1; results are "
-            "bit-for-bit identical at every count)"
-        ),
     )
 
 

@@ -132,7 +132,7 @@ def connected_components_hybrid(
     ctx:
         A resolved :class:`~repro.runtime.context.RunContext`; supplies
         ``tier`` when the kwarg is omitted (which wins), the tracer of
-        the stage spans, and workers/fault spec for the networks the SoA
+        the stage spans, and the fault spec for the networks the SoA
         tier builds.
     """
     if tier is None:

@@ -104,9 +104,8 @@ def run_with_asynchrony(
     work — bit-for-bit the same execution, at SoA speed.  ``ctx``
     (:class:`~repro.runtime.context.RunContext`) configures the network
     as in :class:`SyncNetwork`: the delivery engine of object nodes, the
-    shard workers of the SoA tail (every count yields the identical
-    execution), the tracer (pure observation, so a traced run is
-    bit-for-bit the untraced one), and the oblivious message adversary
+    tracer (pure observation, so a traced run is bit-for-bit the
+    untraced one), and the oblivious message adversary
     ``ctx.fault_hook``.
 
     Returns the timing report and the (already run) network, whose nodes

@@ -130,8 +130,7 @@ class _RoundLayout:
     provably unchanged, so the tail reuses it wholesale: the sort
     permutation, the sorted key columns, the send/receive bincounts and
     maxima, the receiver segment offsets, the no-self-addressed-traffic
-    flag, and (when sharded) the worker pool's cached shard
-    permutations.  Only the payload lanes are re-gathered.
+    flag.  Only the payload lanes are re-gathered.
 
     An entry is keyed by the column *object* but trusted only after a
     value comparison against a defensive copy taken at store time — see
@@ -150,7 +149,6 @@ class _RoundLayout:
         "recv_max",
         "seg_starts",
         "seg_nodes",
-        "shard_gen",
         "snd",
         "snd_copy",
         "snd_s",
@@ -170,7 +168,6 @@ class _RoundLayout:
         self.recv_counts = None
         self.recv_max = 0
         self.seg_starts = self.seg_nodes = None
-        self.shard_gen = None
         self.no_local = False
 
     def clear_snd(self) -> None:
@@ -456,7 +453,7 @@ class SyncNetwork:
 
     ``ctx`` (:class:`~repro.runtime.context.RunContext`, or the bare-call
     default of :func:`~repro.runtime.context.context_or_default`) selects
-    the delivery engine, shard workers, tracer and fault hook.
+    the delivery engine, tracer and fault hook.
 
     ``ctx.fault_hook`` installs an oblivious message adversary in the
     delivery tail: a callable ``hook(round_no, senders, receivers) ->
@@ -480,9 +477,9 @@ class SyncNetwork:
         *,
         ctx: RunContext | None = None,
     ) -> None:
-        # One execution config (contract C8): the delivery engine, shard
-        # workers, tracer, fault hook and layout cache all come from
-        # ``ctx`` (the bare-call default when omitted).
+        # One execution config (contract C8): the delivery engine,
+        # tracer, fault hook and layout cache all come from ``ctx`` (the
+        # bare-call default when omitted).
         ctx = context_or_default(ctx)
         engine = ctx.engine
         if engine == "soa":
@@ -497,12 +494,6 @@ class SyncNetwork:
         self.engine = engine
         self.fault_hook = ctx.fault_hook
         self.round_no = 0
-        # ``ctx.workers`` shards the SoA delivery tail's receiver sort
-        # across a fork-inherited shared-memory pool (repro.net.shard) —
-        # results are bit-for-bit identical at every count; non-SoA
-        # populations ignore it.
-        self._workers = ctx.workers
-        self._shards = None
         self._metrics = NetworkMetrics()
         if isinstance(nodes, SoAProtocolClass):
             # SoA tier: one object holds every node's state; delivery runs
@@ -545,9 +536,9 @@ class SyncNetwork:
         self._counts_dirty = False
         self._pending_count = 0
         self._layout = _RoundLayout()
-        # REPRO_SOA_LAYOUT_REUSE=0 restores the pre-shard sort-only cache
-        # (identity-trusting, re-gathers every column every round) — the
-        # control arm of bench_s3's re-sort-elimination measurement.
+        # REPRO_SOA_LAYOUT_REUSE=0 keeps only the sort permutation
+        # (re-gathers every column every round) — the control arm of
+        # bench_s3's re-sort-elimination measurement.
         self._reuse_layouts = ctx.layout_reuse
         # ---- round-trace telemetry (C7: observes, never steers) -------
         # Resolution order: context > ambient capture()/activate()
@@ -563,8 +554,6 @@ class SyncNetwork:
             tr = resolve_tracer(None)
         self._tracer = tr
         self._round_trace = None
-        self._shard_trace = None
-        self._shard_ops_seen = 0
         self._layout_hit = False
         if tr is not None:
             tier = "soa" if self._soa is not None else "object"
@@ -581,12 +570,7 @@ class SyncNetwork:
                     "receive_drops",
                     "layout_hit",
                 ),
-                meta={
-                    "tier": tier,
-                    "engine": engine,
-                    "n": n,
-                    "workers": self._workers,
-                },
+                meta={"tier": tier, "engine": engine, "n": n},
             )
             self._metrics.per_round = RoundMetricsView(self._round_trace)
 
@@ -673,35 +657,6 @@ class SyncNetwork:
             1 if self._layout_hit else 0,
             clock() - start,
         )
-        if self._shards is not None:
-            self._record_shard_rounds()
-
-    def _record_shard_rounds(self) -> None:
-        """Append the pool's per-worker stats for ops since last seen.
-
-        The pool keeps per-worker message counts and wall seconds of its
-        most recent op (sort or gather); at most one op happens per
-        round, so comparing ``op_seq`` against a high-water mark turns
-        those into per-round shard rows without touching the workers.
-        """
-        pool = self._shards
-        if pool is None or pool.op_seq == self._shard_ops_seen:
-            return
-        self._shard_ops_seen = pool.op_seq
-        st = self._shard_trace
-        if st is None:
-            st = self._tracer.table(
-                "shard",
-                ("round", "shard", "messages", "op"),
-                meta={"n": self._n, "workers": pool.workers},
-            )
-            self._shard_trace = st
-        op = 0 if pool.last_op == "sort" else 1
-        round_no = self.round_no - 1
-        counts = pool.last_counts
-        seconds = pool.last_seconds
-        for w in range(pool.workers):
-            st.append(round_no, w, int(counts[w]), op, float(seconds[w]))
 
     def _run_round_inner(self) -> None:
         if self._soa is not None:
@@ -959,16 +914,6 @@ class SyncNetwork:
                 "(the canonical emission order)"
             )
 
-    def _shard_pool(self, m: int):
-        """The lazily created worker pool behind ``workers > 1``."""
-        pool = self._shards
-        if pool is None:
-            from repro.net.shard import ShardPool
-
-            pool = ShardPool(self._n, self._workers, capacity=max(2 * m, 1024))
-            self._shards = pool
-        return pool
-
     # ------------------------------------------------------------------
     # Shared delivery tail: local split, truncation, metrics, assembly.
     # ------------------------------------------------------------------
@@ -1038,9 +983,12 @@ class SyncNetwork:
                         # must be re-run on what is actually there.
                         self._require_ascending_senders(snd_all)
         elif rcv_all is lay.rcv:
-            # Legacy cache mode (REPRO_SOA_LAYOUT_REUSE=0): identity-only
-            # reuse of the sort permutation, nothing else.
-            rcv_ok = True
+            # Legacy cache mode (REPRO_SOA_LAYOUT_REUSE=0): reuse of the
+            # sort permutation only, behind the same value comparison.
+            if np.array_equal(rcv_all, lay.rcv_copy):
+                rcv_ok = True
+            else:
+                lay.clear_rcv()
 
         # ---- split off self-addressed traffic (bypasses the network) ---
         if rcv_ok and snd_ok and lay.no_local:
@@ -1189,12 +1137,7 @@ class SyncNetwork:
         # every round — reuse the previous receiver-sorted layout
         # wholesale: permutation, sorted key columns, segment offsets.
         # Only the payload lanes are re-gathered, which is what removes
-        # the per-round re-sort from the n=10⁶..10⁷ SoA runs.  Fresh
-        # layouts sort in-process, or in receiver-range shards on the
-        # worker pool when ``workers > 1`` (bit-for-bit identical — see
-        # repro.net.shard for the stability argument).
-        simple_lanes = kind_all is None and objs is None
-        pool = self._shards
+        # the per-round re-sort from the n=10⁶..10⁷ SoA runs.
         if rcv_ok and rcv_idx is lay.rcv and lay.order is not None:
             if self._round_trace is not None:
                 self._layout_hit = True
@@ -1209,38 +1152,12 @@ class SyncNetwork:
                 snd_s = lay.snd_s
             else:
                 snd_s = snd_all[order]
-            if (
-                simple_lanes
-                and pool is not None
-                and lay.shard_gen is not None
-                and lay.shard_gen == pool.gen
-            ):
-                pay_s, pay2_s = pool.gather_payloads(
-                    m_total, pay_all, pay2_all, lay.shard_gen
-                )
-                kind_s = objs_s = None
-            else:
-                kind_s, pay_s, pay2_s, objs_s = gather(order)
+            kind_s, pay_s, pay2_s, objs_s = gather(order)
         else:
-            sharded = (
-                self._workers > 1
-                and self._soa is not None
-                and loc_count == 0
-                and simple_lanes
-                and recv_counts is not None
-            )
-            if sharded:
-                if pool is None:
-                    pool = self._shard_pool(m_total)
-                order, rcv_s, snd_s, pay_s, pay2_s = pool.sort_round(
-                    rcv_idx, snd_all, pay_all, pay2_all, recv_counts
-                )
-                kind_s = objs_s = None
-            else:
-                order = group_argsort(rcv_idx, n)
-                rcv_s = rcv_idx[order]
-                snd_s = snd_all[order]
-                kind_s, pay_s, pay2_s, objs_s = gather(order)
+            order = group_argsort(rcv_idx, n)
+            rcv_s = rcv_idx[order]
+            snd_s = snd_all[order]
+            kind_s, pay_s, pay2_s, objs_s = gather(order)
 
             # Receiver segment offsets fall out of the bincount for free
             # when no local messages interleave with remote groups.
@@ -1274,7 +1191,6 @@ class SyncNetwork:
                     lay.seg_starts, lay.seg_nodes = (
                         seg if seg is not None else (None, None)
                     )
-                    lay.shard_gen = pool.gen if sharded else None
                     if snd_all is entry_snd:
                         lay.snd = snd_all
                         lay.snd_copy = snd_all.copy()
@@ -1285,19 +1201,19 @@ class SyncNetwork:
                     else:
                         lay.clear_snd()
             elif rcv_idx is not lay.rcv:
-                # Legacy sort-only cache: identical to the pre-shard
-                # behaviour (identity-keyed permutation, frozen view).
+                # Legacy sort-only cache: the permutation keyed by the
+                # frozen receivers view, value-checked at the next hit.
                 rcv_idx.flags.writeable = False
                 lay.clear_rcv()
                 lay.clear_snd()
                 lay.rcv = rcv_idx
+                lay.rcv_copy = rcv_idx.copy()
                 lay.order = order
 
         if _sanitize.ENABLED:
-            # Postcondition of every layout path above (fresh sort, cache
-            # hit, sharded sort): the grouped columns are receiver-sorted.
-            # An unsorted rcv_s here means a stale permutation or a shard
-            # worker writing outside its range.
+            # Postcondition of both layout paths above (fresh sort, cache
+            # hit): the grouped columns are receiver-sorted.  An unsorted
+            # rcv_s here means a stale permutation.
             _sanitize.check_receiver_sorted("rcv_s", rcv_s)
             _sanitize.check_int64("rcv_s", rcv_s)
             _sanitize.check_int64("snd_s", snd_s)

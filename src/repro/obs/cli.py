@@ -3,8 +3,9 @@
 Three subcommands, all read-only over the JSON-lines artifact:
 
 - ``summary <trace>`` — per-(cat, name) span aggregates, per-tier
-  round tables with the top-k slowest rounds, shard balance, and
-  synchroniser queue depths;
+  round tables with the top-k slowest rounds and synchroniser queue
+  depths; tables of any other kind (e.g. the ``shard`` tables of older
+  artifacts) are listed under "other tables";
 - ``diff <a> <b>`` — regression deltas: span totals and table column
   sums side by side with absolute and percentage change;
 - ``timeline <trace>`` — per-round ASCII timeline (messages + a time
@@ -119,30 +120,6 @@ def _summarize_net_table(table: TableData, top: int, out) -> None:
     print("    " + body.replace("\n", "\n    "), file=out)
 
 
-def _summarize_shard_table(table: TableData, out) -> None:
-    meta = table.meta
-    label = " ".join(f"{k}={meta[k]}" for k in sorted(meta))
-    print(f"[{table.name}] {label}".rstrip(), file=out)
-    if len(table) == 0:
-        print("  (no shard ops recorded)", file=out)
-        return
-    shard = table.column("shard")
-    headers = ["shard", "ops", "messages", "seconds"]
-    rows = []
-    for w in np.unique(shard):
-        mask = shard == w
-        rows.append(
-            [
-                str(int(w)),
-                str(int(mask.sum())),
-                str(int(table.column("messages")[mask].sum())),
-                _fmt_seconds(float(table.column("seconds")[mask].sum())),
-            ]
-        )
-    body = _render(headers, rows)
-    print("  " + body.replace("\n", "\n  "), file=out)
-
-
 def cmd_summary(args) -> int:
     trace = read_trace(args.trace)
     out = sys.stdout
@@ -179,20 +156,14 @@ def cmd_summary(args) -> int:
     if trace.counters:
         print(f"\ncounters: {len(trace.counters)} events", file=out)
 
-    for kind, renderer in (
-        ("net", lambda t: _summarize_net_table(t, args.top, out)),
-        ("sync", lambda t: _summarize_net_table(t, args.top, out)),
-        ("shard", lambda t: _summarize_shard_table(t, out)),
-    ):
+    for kind in ("net", "sync"):
         tables = trace.tables_of(kind)
         if not tables:
             continue
         print(f"\n{kind} tables ({len(tables)}):", file=out)
         for table in tables:
-            renderer(table)
-    other = [
-        t for t in trace.tables if t.kind not in ("net", "sync", "shard")
-    ]
+            _summarize_net_table(table, args.top, out)
+    other = [t for t in trace.tables if t.kind not in ("net", "sync")]
     if other:
         print(f"\nother tables ({len(other)}):", file=out)
         for table in other:

@@ -2,7 +2,7 @@
 
 The engine's only runtime window used to be the coarse
 :class:`~repro.net.network.NetworkMetrics` totals — answering "which
-round got slow" or "are the shard workers balanced" meant hand
+round got slow" or "which stage dominates" meant hand
 instrumentation every time.  This module supplies the shared recorder
 behind every probe point:
 
@@ -276,7 +276,7 @@ _ENV_PID: int | None = None
 
 
 def _env_flush(path: str) -> None:
-    # Forked shard workers inherit this atexit hook; only the creating
+    # Forked children inherit this atexit hook; only the creating
     # process may write the artifact, or children would clobber it.
     if _ENV_TRACER is None or os.getpid() != _ENV_PID:
         return

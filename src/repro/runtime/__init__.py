@@ -23,14 +23,11 @@ from repro.runtime.context import (
     ROOTING_TIERS,
     TIER_CHOICES,
     TIER_KINDS,
-    WORKERS_ENV,
     RunContext,
     choice_specified,
     context_or_default,
-    resolve_workers,
     select_choice,
     validate_tier,
-    workers_specified,
 )
 from repro.runtime.envsource import ENV_PREFIX, env_flag, env_int, read_env
 
@@ -43,15 +40,12 @@ __all__ = [
     "ROOTING_TIERS",
     "TIER_CHOICES",
     "TIER_KINDS",
-    "WORKERS_ENV",
     "RunContext",
     "choice_specified",
     "context_or_default",
     "env_flag",
     "env_int",
     "read_env",
-    "resolve_workers",
     "select_choice",
     "validate_tier",
-    "workers_specified",
 ]

@@ -1,10 +1,10 @@
 """RunContext: the one execution-configuration object of the stack.
 
 Every knob that selects *how* a population executes — delivery engine,
-rooting/expander/hybrid tier, shard worker count, tracer, sanitizer and
-debug flags, the layout-reuse toggle, the fault spec, the seed — used to
-be resolved independently at each call site (a bench resolver here, a
-worker-count resolver there, a raw ``REPRO_*`` read somewhere else).
+rooting/expander/hybrid tier, tracer, sanitizer and debug flags, the
+layout-reuse toggle, the fault spec, the seed — used to be resolved
+independently at each call site (a bench resolver here, a raw
+``REPRO_*`` read somewhere else).
 This module replaces that scatter with one frozen dataclass built
 through one precedence chain:
 
@@ -24,7 +24,7 @@ Two construction paths:
 - :func:`context_or_default` is what the library does with the
   ``ctx=`` argument every entry point takes — the one spelling of
   execution config below the CLI; no library function takes an
-  ``engine=``/``workers=``/``tracer=``/``fault_hook=`` parameter of its
+  ``engine=``/``tracer=``/``fault_hook=`` parameter of its
   own.  ``ctx=None`` resolves the bare-call default, spelled once here.
 
 The tier vocabulary (one tuple per stack dimension) is authoritative
@@ -48,14 +48,11 @@ __all__ = [
     "EXPANDER_MODES",
     "HYBRID_TIERS",
     "TIER_KINDS",
-    "WORKERS_ENV",
     "RunContext",
     "choice_specified",
     "context_or_default",
-    "resolve_workers",
     "select_choice",
     "validate_tier",
-    "workers_specified",
 ]
 
 # ----------------------------------------------------------------------
@@ -84,9 +81,6 @@ EXPANDER_MODES = ("walks", "protocol", "soa")
 #: Execution tiers of the §4 hybrid pipeline
 #: (:func:`repro.hybrid.components.connected_components_hybrid`).
 HYBRID_TIERS = ("object", "soa")
-
-#: Environment variable of the shard worker count.
-WORKERS_ENV = "REPRO_WORKERS"
 
 #: The choice-valued stack dimensions: field name → (env var, default,
 #: choices).  One table instead of one copy-pasted resolver per module.
@@ -143,23 +137,6 @@ def choice_specified(kind: str, cli_value: str | None = None) -> bool:
     return bool(cli_value) or read_env(TIER_KINDS[kind][0]) is not None
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Normalise a shard worker count (``None`` → ``REPRO_WORKERS`` → 1)."""
-    if workers is None:
-        workers = env_int(WORKERS_ENV)
-        if workers is None:
-            return 1
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    return workers
-
-
-def workers_specified(cli_value: int | None = None) -> bool:
-    """Whether the user pinned a worker count (CLI or ``REPRO_WORKERS``)."""
-    return cli_value is not None or read_env(WORKERS_ENV) is not None
-
-
 def validate_tier(workload: str, tier: str) -> str:
     """``tier``, or a :class:`ValueError` listing the workload's choices —
     the one tier-membership check every layer shares."""
@@ -179,6 +156,13 @@ def _cli_value(cli, name: str):
     if isinstance(cli, dict):
         return cli.get(name)
     return getattr(cli, name, None)
+
+
+def _check_workers(value) -> int:
+    workers = int(value)
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
+    return workers
 
 
 def _resolve_seed(value, cli) -> int | None:
@@ -221,8 +205,12 @@ class RunContext:
     hybrid:
         §4 pipeline tier (:data:`HYBRID_TIERS`).
     workers:
-        Shard worker count of the SoA delivery tail (≥ 1; every count
-        is bit-for-bit identical).
+        A recorded worker count (≥ 1) that selects nothing: delivery
+        runs in one process at every value.  It remains only because the
+        end-to-end benchmark still passes it (its ``rooting-250k-w2``
+        workload); the benchmark change that retires that workload
+        deletes the field.  Set only through :meth:`resolve` /
+        :meth:`with_overrides`; no CLI or environment form.
     seed:
         The run's seed, when the caller routes RNG construction through
         the context (:meth:`rng`); ``None`` means the caller supplies
@@ -283,9 +271,7 @@ class RunContext:
                 kind, cli_value=overrides.get(kind) or _cli_value(cli, kind)
             )
         workers = overrides.get("workers")
-        if workers is None:
-            workers = _cli_value(cli, "workers")
-        values["workers"] = resolve_workers(workers)
+        values["workers"] = 1 if workers is None else _check_workers(workers)
         values["seed"] = _resolve_seed(overrides.get("seed"), cli)
         sanitize = _resolve_flag(
             "sanitize", "REPRO_SANITIZE", False, overrides.get("sanitize"), cli
@@ -341,7 +327,7 @@ class RunContext:
                         f"{name} must be one of {choices}, got {value!r}"
                     )
             elif name == "workers":
-                value = resolve_workers(value)
+                value = _check_workers(value)
             elif name == "seed":
                 value = int(value)
                 if value < 0:
@@ -391,7 +377,7 @@ def context_or_default(ctx: RunContext | None) -> RunContext:
     The bare-call default runs the vectorized engine — the library never
     reads ``REPRO_ENGINE``; only bench CLIs choose engines from the
     environment — and resolves every other field through the chain:
-    ``REPRO_WORKERS``, ``REPRO_SOA_LAYOUT_REUSE``, the sanitizer flags,
+    ``REPRO_SOA_LAYOUT_REUSE``, the sanitizer flags,
     and the tracer of an ambient :func:`repro.obs.capture` session or
     ``REPRO_TRACE``.
     """

@@ -13,11 +13,6 @@ switch:
   pre-existing ``REPRO_DEBUG_SOA`` flag is still honoured, sanitize mode
   implies it): every ``SoAInbox.concat`` input must itself be
   receiver-sorted;
-- **shard canaries** (``repro.net.shard.ShardPool``): the ``order``
-  output lane is pre-poisoned and a guard slot placed past the round's
-  extent, so shard workers writing outside their prefix-sum offsets —
-  the write-overlap race class — fail the round loudly instead of
-  silently misdelivering;
 - **fault-hook validation**: an oblivious adversary hook must neither
   draw from the delivery RNG (it would shift every subsequent
   truncation lottery) nor mutate the sender/receiver columns it is

@@ -335,7 +335,7 @@ class ScenarioRunner:
 
     ``ctx`` (optional) threads one resolved
     :class:`~repro.runtime.context.RunContext` through every cell —
-    workers, tracer, sanitize/debug flags — while the grid's own axes
+    tracer, sanitize/debug flags — while the grid's own axes
     (``tiers``, seeds) still come from the runner.  A traced cell
     (``ctx.tracer``, or an ambient :func:`repro.obs.capture` scope)
     becomes a ``cat="scenario"`` span over its per-round tables.

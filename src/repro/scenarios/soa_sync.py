@@ -167,12 +167,6 @@ def run_soa_synchroniser(
     push, one barrier release.  No per-node Python work anywhere, which
     is what makes delay/churn sweeps practical at ``n ≥ 10⁵``
     (``benchmarks/bench_s4_scenario_scaling.py``).
-
-    ``ctx.workers`` shards the delivery tail (see :mod:`repro.net.shard`);
-    the fault hook and the delay queue sit *outside* the sharded sort —
-    the hook sees the canonical pre-sort stream and the queue the merged
-    receiver-sorted columns — so every worker count reproduces the
-    identical execution, delay draws and fault streams included.
     """
     ctx = context_or_default(ctx)
     tracer = ctx.tracer

@@ -142,20 +142,6 @@ RULE_FIXTURES = {
         ),
         "rel_path": ENGINE_PATH,
     },
-    "RL401": {
-        "bad": (
-            "def _worker_loop(conn, cols, lo, hi):\n"
-            "    k = 4\n"
-            "    cols['order'][0:k] = 1\n"
-        ),
-        "good": (
-            "def _worker_loop(conn, cols, lo, hi):\n"
-            "    off = 0\n"
-            "    end = off + 4\n"
-            "    cols['order'][off:end] = 1\n"
-        ),
-        "rel_path": ENGINE_PATH,
-    },
     "RL501": {
         "bad": (
             "def probe_round(rcv, snd, rng):\n"

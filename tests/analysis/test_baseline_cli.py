@@ -164,7 +164,7 @@ class TestCLI:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RL101", "RL201", "RL301", "RL401"):
+        for code in ("RL101", "RL201", "RL301", "RL501", "RL601"):
             assert code in out
 
 

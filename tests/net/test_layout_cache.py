@@ -6,8 +6,10 @@ through a **different view of the same base buffer** left the identity
 intact while changing the values, silently reusing a stale permutation
 (misdelivery: the "receiver-sorted" inbox no longer was).  The layout
 cache now verifies every identity hit against a defensive copy taken at
-store time; a mismatch forces a fresh sort.  These tests pin that down,
-plus the equality of cached rounds with uncached ones.
+store time; a mismatch forces a fresh sort.  The sort-only control arm
+(``layout_reuse=False``) keys its permutation the same way and gets the
+same check.  These tests pin that down in both modes, plus the equality
+of cached rounds with uncached ones.
 """
 
 import numpy as np
@@ -42,13 +44,13 @@ class Scripted(SoAProtocolClass):
         return None
 
 
-def run_scripted(script, capacity=None, rounds=None, seed=0, workers=None):
+def run_scripted(script, capacity=None, rounds=None, seed=0, layout_reuse=None):
     cls = Scripted(N, script)
     net = SyncNetwork(
         cls,
         capacity or CapacityPolicy.unbounded(),
         np.random.default_rng(seed),
-        ctx=RunContext.resolve(workers=workers),
+        ctx=RunContext.resolve(layout_reuse=layout_reuse),
     )
     for _ in range(rounds if rounds is not None else len(script) + 1):
         net.run_round()
@@ -64,8 +66,9 @@ def batch(rcv, snd, pay):
     )
 
 
+@pytest.mark.parametrize("layout_reuse", [True, False])
 class TestAliasWriteRegression:
-    def test_alias_mutation_forces_fresh_sort_not_misdelivery(self):
+    def test_alias_mutation_forces_fresh_sort_not_misdelivery(self, layout_reuse):
         # One scratch base; the protocol emits a *view* of it each round.
         base = np.array([1, 2, 3, 4], dtype=np.int64)
         view = base[:]
@@ -81,7 +84,7 @@ class TestAliasWriteRegression:
             base[0] = 6
             return batch(view, snd, [30, 31, 32, 33])
 
-        cls, _ = run_scripted([r0, r1, r2])
+        cls, _ = run_scripted([r0, r1, r2], layout_reuse=layout_reuse)
 
         # Control: identical values, fresh arrays every round (no cache).
         control = [
@@ -101,16 +104,33 @@ class TestAliasWriteRegression:
         assert np.array_equal(final_rcv, np.sort(final_rcv))
         assert 6 in final_rcv.tolist()
 
-    def test_direct_write_to_cached_column_still_raises(self):
+    def test_alias_write_to_unknown_node_raises(self, layout_reuse):
+        # A stale hit would also skip receiver validation: the write
+        # must surface as the unknown-node error, not a shape error.
+        base = np.array([1, 2, 3, 4], dtype=np.int64)
+        view = base[:]
+        snd = np.array([0, 1, 2, 3], dtype=np.int64)
+
+        def r1():
+            base[0] = 99
+            return batch(view, snd, [30, 31, 32, 33])
+
+        with pytest.raises(KeyError, match="unknown node 99"):
+            run_scripted(
+                [lambda: batch(view, snd, [10, 11, 12, 13]), r1],
+                layout_reuse=layout_reuse,
+            )
+
+    def test_direct_write_to_cached_column_still_raises(self, layout_reuse):
         # The frozen-view guard of the old cache is kept: mutating the
         # emitted column itself errors immediately.
         rcv = np.array([1, 2, 3], dtype=np.int64)
         snd = np.array([0, 1, 2], dtype=np.int64)
-        run_scripted([lambda: batch(rcv, snd, [1, 2, 3])])
+        run_scripted([lambda: batch(rcv, snd, [1, 2, 3])], layout_reuse=layout_reuse)
         with pytest.raises(ValueError, match="read-only"):
             rcv[0] = 5
 
-    def test_sender_alias_mutation_revalidates_canonical_order(self):
+    def test_sender_alias_mutation_revalidates_canonical_order(self, layout_reuse):
         # _deliver_soa skips its ascending check on an identity-stable
         # sender column; if an alias write breaks the order underneath,
         # the guard must re-run the check and raise, not deliver.
@@ -127,7 +147,10 @@ class TestAliasWriteRegression:
 
         cls = Scripted(N, [r0, r1])
         net = SyncNetwork(
-            cls, CapacityPolicy.unbounded(), np.random.default_rng(0)
+            cls,
+            CapacityPolicy.unbounded(),
+            np.random.default_rng(0),
+            ctx=RunContext.resolve(layout_reuse=layout_reuse),
         )
         net.run_round()
         with pytest.raises(ValueError, match="sorted ascending"):

@@ -1,4 +1,4 @@
-"""REPRO_SANITIZE runtime sanitizer: asserts, canaries, hook validation.
+"""REPRO_SANITIZE runtime sanitizer: delivery asserts, hook validation.
 
 The sanitizer is the runtime half of the determinism contracts that
 ``python -m repro.analysis`` checks statically (docs/contracts.md maps
@@ -8,26 +8,18 @@ var is only read at import — and verify that:
 - armed runs are behaviourally identical to unarmed runs (the checks
   observe, they never steer);
 - a fault hook that consumes the delivery RNG or edits the lanes it is
-  shown fails loudly;
-- the shard-arena canary catches workers writing outside their
-  prefix-sum ranges;
-- the fork-unavailable serial fallback warns once and reports
-  ``workers_effective=1``.
+  shown fails loudly.
 """
 
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
 
-import repro.net.shard as shard
 from repro import sanitize
 from repro.net.message import Message
 from repro.net.network import CapacityPolicy, ProtocolNode, SyncNetwork
-from repro.net.shard import ShardPool, effective_workers, fork_available
-from repro.net.vectorops import group_argsort
 from repro.runtime import RunContext
 
 
@@ -122,18 +114,14 @@ class TestArmedRunsAreIdentical:
         sanitize.ENABLED = True
         assert armed_inboxes == plain_inboxes
 
-    def test_soa_rooting_with_sharding_passes(self, armed):
+    def test_soa_rooting_identical(self, armed):
         from repro.core.soa_rooting import run_soa_rooting
         from repro.graphs.portgraph import PortGraph
 
         graph = PortGraph.ring_with_chords(300, delta=8, chords=1, seed=3)
-        a = run_soa_rooting(
-            graph, 12, rng=np.random.default_rng(1), ctx=RunContext.resolve(workers=2)
-        )
+        a = run_soa_rooting(graph, 12, rng=np.random.default_rng(1))
         sanitize.ENABLED = False
-        b = run_soa_rooting(
-            graph, 12, rng=np.random.default_rng(1), ctx=RunContext.resolve(workers=1)
-        )
+        b = run_soa_rooting(graph, 12, rng=np.random.default_rng(1))
         sanitize.ENABLED = True
         assert np.array_equal(a.parent, b.parent)
         assert np.array_equal(a.depth, b.depth)
@@ -199,109 +187,3 @@ class TestFaultHookValidation:
         with pytest.raises(sanitize.SanitizeError, match="mutated"):
             for _ in range(2):
                 net.run_round()
-
-
-def _round_data(rng, n, m):
-    rcv = rng.integers(0, n, size=m).astype(np.int64)
-    snd = np.sort(rng.integers(0, n, size=m)).astype(np.int64)
-    pay = rng.integers(0, 2**40, size=m).astype(np.int64)
-    return rcv, snd, pay
-
-
-class TestShardCanary:
-    def test_armed_pool_still_bit_for_bit(self, armed):
-        rng = np.random.default_rng(9)
-        n, m = 19, 120
-        pool = ShardPool(n, 3, capacity=256)
-        try:
-            rcv, snd, pay = _round_data(rng, n, m)
-            got = pool.sort_round(rcv, snd, pay, None, np.bincount(rcv, minlength=n))
-            order = group_argsort(rcv, n)
-            assert np.array_equal(got[0], order)
-            assert np.array_equal(got[1], rcv[order])
-        finally:
-            pool.close()
-
-    def _serial_pool(self, n=13, workers=2, capacity=128):
-        pool = ShardPool(n, workers, capacity=capacity)
-        pool._stop_workers()
-        pool._serial = True
-        return pool
-
-    def test_uncovered_slot_detected(self, armed):
-        pool = self._serial_pool()
-        orig = pool._serial_sort
-
-        def hole_after(m, offs, want_pay2):
-            orig(m, offs, want_pay2)
-            pool._cols["order"][0] = -1  # simulate a skipped output slot
-
-        pool._serial_sort = hole_after
-        try:
-            rcv, snd, pay = _round_data(np.random.default_rng(2), 13, 40)
-            with pytest.raises(sanitize.SanitizeError, match="unwritten"):
-                pool.sort_round(rcv, snd, pay, None, np.bincount(rcv, minlength=13))
-        finally:
-            pool.close()
-
-    def test_guard_trample_detected(self, armed):
-        pool = self._serial_pool()
-        orig = pool._serial_sort
-
-        def overrun(m, offs, want_pay2):
-            orig(m, offs, want_pay2)
-            pool._cols["order"][m] = 0  # write one slot past the round
-
-        pool._serial_sort = overrun
-        try:
-            rcv, snd, pay = _round_data(np.random.default_rng(2), 13, 40)
-            with pytest.raises(sanitize.SanitizeError, match="guard slot"):
-                pool.sort_round(rcv, snd, pay, None, np.bincount(rcv, minlength=13))
-        finally:
-            pool.close()
-
-    def test_unarmed_pool_skips_canary(self, monkeypatch):
-        monkeypatch.setattr(sanitize, "ENABLED", False)
-        pool = self._serial_pool()
-        orig = pool._serial_sort
-
-        def overrun(m, offs, want_pay2):
-            orig(m, offs, want_pay2)
-            pool._cols["order"][m] = 0
-
-        pool._serial_sort = overrun
-        try:
-            rcv, snd, pay = _round_data(np.random.default_rng(2), 13, 40)
-            pool.sort_round(rcv, snd, pay, None, np.bincount(rcv, minlength=13))
-        finally:
-            pool.close()
-
-
-class TestSerialFallback:
-    def _patch_no_fork(self, monkeypatch):
-        def no_fork(method):
-            raise ValueError(f"start method {method!r} unavailable")
-
-        monkeypatch.setattr(shard.mp, "get_context", no_fork)
-
-    def test_warns_once_and_degrades(self, monkeypatch):
-        self._patch_no_fork(monkeypatch)
-        monkeypatch.setattr(shard, "_SERIAL_FALLBACK_WARNED", False)
-        with pytest.warns(RuntimeWarning, match="serial"):
-            pool = ShardPool(8, 2, capacity=32)
-        assert pool._serial
-        pool.close()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a second warning would fail
-            pool2 = ShardPool(8, 4, capacity=32)
-        pool2.close()
-
-    def test_effective_workers_reports_one(self, monkeypatch):
-        self._patch_no_fork(monkeypatch)
-        assert not fork_available()
-        assert effective_workers(4) == 1
-        assert effective_workers(1) == 1
-
-    def test_effective_workers_under_fork(self):
-        assert fork_available()
-        assert effective_workers(4) == 4

@@ -6,6 +6,8 @@ fixed-width output can be pinned exactly (the formatting is built in
 this reason).
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ def stepping_clock():
 
 
 def make_trace(path: str) -> Tracer:
-    """One of everything: nested spans, a counter, net + shard tables."""
+    """One of everything: nested spans, a counter, net + sync tables."""
     tr = Tracer(clock=stepping_clock(), meta={"n": 8, "tier": "soa"})
     with tr.span("trace/crash", cat="scenario", n=8):
         with tr.span("spanner", cat="stage"):
@@ -45,11 +47,11 @@ def make_trace(path: str) -> Tracer:
     )
     net.append(0, 0, 10, 10, 0, 0, 0, 0, 0.25)
     net.append(1, 10, 6, 6, 2, 0, 0, 1, 0.5)
-    shard = tr.table(
-        "shard", ("round", "shard", "messages", "op"), meta={"workers": 2}
+    sync = tr.table(
+        "sync", ("round", "staged", "released", "held"), meta={"max_delay": 2}
     )
-    shard.append(0, 0, 5, 0, 0.125)
-    shard.append(0, 1, 5, 0, 0.25)
+    sync.append(0, 10, 4, 6, 0.25)
+    sync.append(1, 6, 6, 0, 0.125)
     write_trace(path, tr)
     return tr
 
@@ -70,7 +72,7 @@ class TestRoundTrip:
         assert counter["name"] == "queue_depth"
         assert counter["value"] == 3
 
-        assert [t.name for t in data.tables] == ["net#0", "shard#0"]
+        assert [t.name for t in data.tables] == ["net#0", "sync#0"]
         net = data.tables_of("net")[0]
         assert net.columns == tr.tables_of("net")[0].columns
         for col in net.columns:
@@ -78,7 +80,7 @@ class TestRoundTrip:
                 net.column(col), tr.tables_of("net")[0].column(col)
             ), col
         assert net.column("seconds").dtype == np.float64
-        assert data.tables_of("shard")[0].meta == {"workers": 2}
+        assert data.tables_of("sync")[0].meta == {"max_delay": 2}
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -109,8 +111,10 @@ class TestSummary:
             "receive_drops=0 layout_hits=1/2 seconds=0.750000" in lines
         )
         assert "  top 2 slowest rounds:" in lines
-        assert "shard tables (1):" in lines
-        assert "[shard#0] workers=2" in lines
+        assert "sync tables (1):" in lines
+        assert "[sync#0] max_delay=2" in lines
+        assert "  rounds=2 seconds=0.375000" in lines
+        assert not any(ln.startswith("other tables") for ln in lines)
 
     def test_top_limits_rows(self, tmp_path, capsys):
         path = str(tmp_path / "t.jsonl")
@@ -118,7 +122,8 @@ class TestSummary:
         main(["summary", path, "--top", "1"])
         out = capsys.readouterr().out
         assert "  top 1 slowest rounds:" in out.splitlines()
-        # Only the slowest round (round 1, 0.5s) is listed.
+        # Only the slowest net round (round 1, 0.5s) is listed; the
+        # sync table's slowest is round 0.
         data_rows = [ln for ln in out.splitlines() if ln.startswith("    1 ")]
         assert len(data_rows) == 1
 
@@ -133,7 +138,7 @@ class TestDiff:
         assert lines[0] == f"diff: a={path} b={path}"
         assert "span totals (seconds):" in lines
         assert "net table totals:" in lines
-        assert "shard table totals:" in lines
+        assert "sync table totals:" in lines
         data = [
             ln
             for ln in lines
@@ -170,9 +175,13 @@ class TestTimeline:
     def test_table_filter_selects_non_net_tables(self, tmp_path, capsys):
         path = str(tmp_path / "t.jsonl")
         make_trace(path)
-        assert main(["timeline", path, "--table", "shard#0", "--csv"]) == 0
+        assert main(["timeline", path, "--table", "sync#0", "--csv"]) == 0
         out = capsys.readouterr().out
-        assert out.splitlines()[0] == "table,round,shard,messages,op,seconds"
+        assert out.splitlines() == [
+            "table,round,staged,released,held,seconds",
+            "sync#0,0,10,4,6,0.250000",
+            "sync#0,1,6,6,0,0.125000",
+        ]
 
     def test_unknown_table_is_an_error(self, tmp_path, capsys):
         path = str(tmp_path / "t.jsonl")
@@ -190,3 +199,28 @@ class TestTimeline:
     def test_missing_artifact_is_a_clean_error(self, tmp_path, capsys):
         assert main(["summary", str(tmp_path / "nope.jsonl")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+#: A committed artifact of the multiprocess delivery pool that no longer
+#: exists: its ``shard`` table is a kind this CLI has no renderer for.
+OLD_SHARD_TRACE = (
+    Path(__file__).resolve().parents[2]
+    / "benchmarks/e2e/results/set-a/traced.rooting-250k-w2.trace.jsonl"
+)
+
+
+class TestOlderArtifacts:
+    def test_shard_table_listed_under_other_tables(self, capsys):
+        path = str(OLD_SHARD_TRACE)
+        assert main(["summary", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "net tables (1):" in lines
+        other = lines.index("other tables (1):")
+        assert lines[other + 1] == "[shard#0] n=250000 workers=2"
+
+    def test_diff_reads_shard_table(self, capsys):
+        path = str(OLD_SHARD_TRACE)
+        assert main(["diff", path, path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "net table totals:" in lines
+        assert "shard table totals:" in lines

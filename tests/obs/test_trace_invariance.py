@@ -1,9 +1,8 @@
 """Contract C7 at runtime: a traced execution IS the untraced one.
 
 Tracing must never perturb what it observes — same trees, same metrics,
-same scenario rows, at every tier and worker count, whether the tracer
-arrives by ``ctx``, ambient :func:`~repro.obs.capture`, or the
-``REPRO_WORKERS``-sharded delivery tail.  The matrices here are the
+same scenario rows, at every tier, whether the tracer arrives by
+``ctx`` or ambient :func:`~repro.obs.capture`.  The matrices here are the
 runtime half of the contract; the RL5xx repro-lint rules are the static
 half.
 """
@@ -19,7 +18,7 @@ from repro.core.soa_rooting import run_soa_rooting
 from repro.graphs.portgraph import PortGraph
 from repro.obs import Tracer, capture
 from repro.obs.tracer import _reset_ambient_for_tests
-from repro.runtime import WORKERS_ENV, RunContext
+from repro.runtime import RunContext
 from repro.scenarios import CrashWave, ScenarioSpec
 from repro.scenarios.runner import run_rooting_scenario, tier_invariant_view
 
@@ -72,10 +71,9 @@ def test_traced_equals_untraced_across_tiers(tier):
         assert len(net) == base.metrics.rounds
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_traced_equals_untraced_across_worker_counts(workers):
-    """The sharded delivery tail: traced and untraced runs agree at
-    every worker count, and all counts agree with each other."""
+def test_ctx_tracer_equals_untraced():
+    """A tracer threaded through ``ctx`` (no ambient session) leaves
+    the SoA run untouched."""
     for seed in SEEDS[:4]:
         graph = graph_for(seed)
         base = run_soa_rooting(graph, FLOOD, rng=np.random.default_rng(seed))
@@ -83,26 +81,10 @@ def test_traced_equals_untraced_across_worker_counts(workers):
             graph,
             FLOOD,
             rng=np.random.default_rng(seed),
-            ctx=RunContext.resolve(workers=workers, tracer=Tracer()),
+            ctx=RunContext.resolve(tracer=Tracer()),
         )
-        assert sha(traced) == sha(base), f"workers={workers} seed={seed}"
+        assert sha(traced) == sha(base), f"seed={seed}"
         assert traced.metrics.as_dict() == base.metrics.as_dict()
-
-
-def test_env_workers_path_traced(monkeypatch):
-    """REPRO_WORKERS env sharding composes with tracing."""
-    monkeypatch.setenv(WORKERS_ENV, "2")
-    for seed in SEEDS[:4]:
-        graph = graph_for(seed)
-        base = run_soa_rooting(graph, FLOOD, rng=np.random.default_rng(seed))
-        tracer = Tracer()
-        traced = run_soa_rooting(
-            graph, FLOOD, rng=np.random.default_rng(seed),
-            ctx=RunContext.resolve(tracer=tracer),
-        )
-        assert sha(traced) == sha(base)
-        # The sharded sort actually ran and was recorded.
-        assert tracer.tables_of("shard"), "expected shard telemetry"
 
 
 def test_scenario_rows_invariant_under_tracing():

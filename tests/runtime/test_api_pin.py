@@ -5,8 +5,7 @@ Execution config enters the library only as ``ctx=`` (a
 ``repro`` package fails if a public function, method or ``__init__``
 grows a parameter that duplicates a context field again — outside the
 packages that *implement* the config: :mod:`repro.runtime` (the
-resolvers), :mod:`repro.obs` (tracer resolution) and
-:mod:`repro.net.shard` (the worker pool).
+resolvers) and :mod:`repro.obs` (tracer resolution).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ CONTEXT_FIELDS = {
     "debug_soa",
 }
 
-EXEMPT = ("repro.runtime", "repro.obs", "repro.net.shard")
+EXEMPT = ("repro.runtime", "repro.obs")
 
 
 def _modules():

@@ -25,9 +25,7 @@ from repro.runtime import (
     TIER_KINDS,
     RunContext,
     choice_specified,
-    resolve_workers,
     select_choice,
-    workers_specified,
 )
 
 ALL_ENV = (
@@ -35,7 +33,6 @@ ALL_ENV = (
     "REPRO_ROOTING",
     "REPRO_EXPANDER",
     "REPRO_HYBRID",
-    "REPRO_WORKERS",
     "REPRO_SEED",
     "REPRO_SANITIZE",
     "REPRO_DEBUG_SOA",
@@ -151,31 +148,20 @@ class TestChoicePrecedence:
         assert getattr(ctx, field) == cli_value
 
 
-class TestWorkersPrecedence:
+class TestWorkersField:
+    """``workers`` is a recorded, kwarg-only field: no CLI or
+    environment leg (it selects nothing; see
+    ``test_ctx_invariance.py::TestRootingInvariance::test_workers_field_selects_nothing``)."""
+
     def test_default(self):
         assert RunContext.resolve().workers == 1
 
-    def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert RunContext.resolve().workers == 3
-
-    def test_cli_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert RunContext.resolve(cli=cli_ns(workers=2)).workers == 2
-
-    def test_kwarg_beats_cli_and_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        ctx = RunContext.resolve(cli=cli_ns(workers=2), workers=4)
-        assert ctx.workers == 4
+    def test_cli_value_is_not_consulted(self):
+        assert RunContext.resolve(cli=cli_ns(workers=2)).workers == 1
 
     def test_invalid_kwarg_raises(self):
         with pytest.raises(ValueError, match="worker count must be >= 1"):
             RunContext.resolve(workers=0)
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "many")
-        with pytest.raises(ValueError, match="REPRO_WORKERS must be a positive integer"):
-            RunContext.resolve()
 
     def test_with_overrides_validates(self):
         with pytest.raises(ValueError, match="worker count must be >= 1"):
@@ -333,17 +319,6 @@ class TestSingleFieldResolvers:
         assert choice_specified("engine")
         assert choice_specified("rooting", "soa")
 
-    def test_workers_specified(self, monkeypatch):
-        assert not workers_specified()
-        assert workers_specified(2)
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert workers_specified()
-
-    def test_resolve_workers_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "5")
-        assert resolve_workers() == 5
-        assert resolve_workers(2) == 2
-
     def test_tier_kinds_table_is_complete(self):
         assert set(TIER_KINDS) == {"engine", "rooting", "expander", "hybrid"}
         for field, (env_var, default, choices) in TIER_KINDS.items():
@@ -369,9 +344,6 @@ RESOLVER_ROWS = [
     ({"REPRO_EXPANDER": "soa"}, lambda: select_choice("engine"), "vectorized"),
     ({"REPRO_HYBRID": "bogus"}, lambda: select_choice("hybrid", "soa"), "soa"),
     ({}, lambda: select_choice("engine", "soa", choices=TIER_CHOICES), "soa"),
-    ({}, lambda: resolve_workers(), 1),
-    ({"REPRO_WORKERS": "3"}, lambda: resolve_workers(), 3),
-    ({"REPRO_WORKERS": "3"}, lambda: resolve_workers(2), 2),
 ]
 
 
@@ -407,8 +379,6 @@ RESOLVER_ERRORS = [
     ),
     ({}, lambda: select_choice("engine", "hyperdrive"), "engine must be one of"),
     ({}, lambda: select_choice("engine", "soa", choices=ENGINES), "engine must be one of"),
-    ({"REPRO_WORKERS": "lots"}, lambda: resolve_workers(), "REPRO_WORKERS"),
-    ({}, lambda: resolve_workers(-1), ">= 1"),
 ]
 
 

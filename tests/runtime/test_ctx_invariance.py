@@ -3,7 +3,7 @@
 Threading one resolved :class:`~repro.runtime.context.RunContext`
 through an entry point produces *identical* trees, labels, and scenario
 rows to the bare call (``ctx=None``, the library default) — across
-tiers, seeds, and worker counts.  Anything less means the context
+tiers and seeds.  Anything less means the context
 changed execution, not just configuration.  And the context is the only
 spelling: the engine it names is the engine every network runs, which
 the ``TestContextEngineReachesEveryNetwork`` cases pin.
@@ -12,6 +12,7 @@ the ``TestContextEngineReachesEveryNetwork`` cases pin.
 from __future__ import annotations
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -60,15 +61,26 @@ class TestRootingInvariance:
         assert tree_sha(via_ctx) == tree_sha(shim)
         assert via_ctx.metrics.as_dict() == shim.metrics.as_dict()
 
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_soa_workers_invariant_through_ctx(self, workers):
+    def test_workers_field_selects_nothing(self, monkeypatch):
+        # ``RunContext.workers`` is only recorded: delivery never leaves
+        # the process, so a run at workers=2 cannot fork and builds the
+        # workers=1 tree.
+        def no_fork():
+            raise AssertionError("delivery must not fork a process")
+
+        monkeypatch.setattr(os, "fork", no_fork)
         graph = rooting_graph(0)
-        baseline = run_soa_rooting(graph, FLOOD_ROUNDS, rng=np.random.default_rng(0))
-        ctx = RunContext.resolve(workers=workers)
-        sharded = run_soa_rooting(
-            graph, FLOOD_ROUNDS, rng=np.random.default_rng(0), ctx=ctx
-        )
-        assert tree_sha(sharded) == tree_sha(baseline)
+        runs = [
+            run_soa_rooting(
+                graph,
+                FLOOD_ROUNDS,
+                rng=np.random.default_rng(0),
+                ctx=RunContext.resolve(workers=workers),
+            )
+            for workers in (1, 2)
+        ]
+        assert tree_sha(runs[1]) == tree_sha(runs[0])
+        assert runs[1].metrics.as_dict() == runs[0].metrics.as_dict()
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_object_ctx_matches_shim(self, seed):
@@ -150,7 +162,7 @@ class TestChurnRebuildInvariance:
             0.15,
             np.random.default_rng(seed),
             hybrid="soa",
-            ctx=RunContext.resolve(workers=2),
+            ctx=RunContext.resolve(),
         )
         assert np.array_equal(via_ctx.survivors, shim.survivors)
         assert np.array_equal(via_ctx.overlay.labels, shim.overlay.labels)
@@ -187,7 +199,7 @@ class TestScenarioRowInvariance:
             seeds=(0, 1),
             tiers=tiers,
             workload=workload,
-            ctx=RunContext.resolve(workers=2),
+            ctx=RunContext.resolve(),
         ).run_spec(spec)
         from repro.scenarios.runner import tier_invariant_view
 

@@ -105,15 +105,3 @@ class TestSizes:
             geometric_sizes(10, 5)
         with pytest.raises(ValueError):
             geometric_sizes(1, 10, factor=1.0)
-
-
-class TestWorkersArgument:
-    def test_argparse_plumbing(self):
-        import argparse
-
-        from repro.experiments.harness import add_workers_argument
-
-        parser = argparse.ArgumentParser()
-        add_workers_argument(parser)
-        assert parser.parse_args([]).workers is None
-        assert parser.parse_args(["--workers", "4"]).workers == 4
