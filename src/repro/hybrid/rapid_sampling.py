@@ -152,15 +152,15 @@ def _pair_tokens(
     if m == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
+    counts = np.bincount(positions)
     perm = rng.permutation(m)
-    order = perm[group_argsort(positions[perm], int(positions.max()) + 1)]
-    sorted_pos = positions[order]
-    # Group bounds by run lengths of the sorted column (the former
-    # whole-column double searchsorted, at a fraction of the cost).
-    starts = np.flatnonzero(np.concatenate([[True], sorted_pos[1:] != sorted_pos[:-1]]))
-    counts = np.diff(np.append(starts, m))
-    rank = np.arange(m, dtype=np.int64) - np.repeat(starts, counts)
-    pairs = np.repeat(counts // 2, counts)
-    reds = order[rank < pairs]
-    blues = order[(rank >= pairs) & (rank < 2 * pairs)]
-    return reds, blues
+    order = perm[group_argsort(positions[perm], counts.shape[0])]
+    # ``order`` lists each node's tokens as one run, nodes ascending; the
+    # run of node v starts at ``starts[v]``.  Its first ``half[v]`` slots
+    # are red and the next ``half[v]`` blue, so the pairs are read from
+    # the run starts alone, with no per-token rank or mask.
+    half = counts // 2
+    starts = np.cumsum(counts) - counts
+    red_start = np.cumsum(half) - half
+    slot = np.arange(int(half.sum()), dtype=np.int64) + np.repeat(starts - red_start, half)
+    return order[slot], order[slot + np.repeat(half, half)]

@@ -24,25 +24,29 @@ import numpy as np
 __all__ = ["segmented_keep_indices", "needs_truncation", "group_argsort"]
 
 
-_DIGIT_BITS = 16
-_DIGIT = 1 << _DIGIT_BITS
+_DIGIT = 1 << 16
+#: From this many items on, the packed-key sort beats the one-digit radix
+#: even for ``uint16`` labels (the sweep in ``docs/engine.md``).
+_PACKED_MIN_ITEMS = 1 << 19
 
 
 def group_argsort(values: np.ndarray, bound: int) -> np.ndarray:
     """Stable argsort of small non-negative integers (group labels).
 
     Exactly ``np.argsort(values, kind="stable")`` for ``values`` in
-    ``[0, bound)``, in time linear in ``m``: an LSD radix sort over
-    16-bit digits, each digit a ``uint16`` stable argsort (numpy runs a
-    radix sort for 16-bit types).
+    ``[0, bound)``:
 
-    * ``bound <= 2**16`` — one digit: the labels sorted as ``uint16``;
-    * ``bound <= 2**32`` — two digits: a stable pass on the low 16 bits,
-      a stable pass on the high 16 bits gathered through the first
-      order, and the first order indexed by the second;
-    * larger bounds — numpy's stable (merge) sort.
+    * ``bound <= 2**16`` and ``m < 2**19`` — one radix digit: the labels
+      sorted as ``uint16`` (numpy runs a radix sort for 16-bit types);
+    * otherwise — a packed-key sort: each label shifted left by
+      ``bits = (m-1).bit_length()`` with its index in the low bits, one
+      ``np.sort`` of those unique ``int64`` keys (numpy's SIMD sort), and
+      the low bits read back.  Unique keys with the index as tie-break
+      make any sort stable;
+    * labels too large to shift into ``int64`` — numpy's stable (merge)
+      sort.
 
-    The digit casts would wrap out-of-range labels silently, so a
+    The digit cast would wrap out-of-range labels silently, so a
     ``min``/``max`` pass checks the range first and raises
     :class:`ValueError` naming the offending value instead of returning
     a wrong order.
@@ -55,16 +59,18 @@ def group_argsort(values: np.ndarray, bound: int) -> np.ndarray:
     if vmin < 0 or vmax >= bound:
         bad = vmin if vmin < 0 else vmax
         raise ValueError(f"group_argsort: value {bad} outside [0, {bound})")
-    if bound > _DIGIT * _DIGIT:
+    if bound <= _DIGIT and m < _PACKED_MIN_ITEMS:
+        # A transient sort digit, not a message lane; uint16 is deliberate.
+        return np.argsort(values.astype(np.uint16), kind="stable")  # repro-lint: disable=RL303
+    bits = (m - 1).bit_length()
+    if vmax >> (63 - bits):
         return np.argsort(values, kind="stable")
-    # A transient sort digit, not a message lane; uint16 is deliberate.
-    low = values.astype(np.uint16)  # repro-lint: disable=RL303
-    order = np.argsort(low, kind="stable")
-    if bound <= _DIGIT:
-        return order
-    high = values[order] >> _DIGIT_BITS
-    high = high.astype(np.uint16)  # repro-lint: disable=RL303
-    return order[np.argsort(high, kind="stable")]
+    keyed = values.astype(np.int64)
+    keyed <<= bits
+    keyed |= np.arange(m, dtype=np.int64)
+    keyed.sort()
+    keyed &= (1 << bits) - 1
+    return keyed
 
 
 def segmented_keep_indices(

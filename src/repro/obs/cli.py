@@ -79,17 +79,18 @@ def _table_totals(table: TableData) -> dict:
 # ----------------------------------------------------------------------
 # summary
 # ----------------------------------------------------------------------
-def _summarize_net_table(table: TableData, top: int, out) -> None:
+def _summarize_net_table(table: TableData, top: int, out, unit: str = "rounds") -> None:
+    """Print a table's totals; ``unit`` names its rows (rounds in net/sync)."""
     meta = table.meta
     label = " ".join(f"{k}={meta[k]}" for k in sorted(meta))
     print(f"[{table.name}] {label}".rstrip(), file=out)
     n = len(table)
     if n == 0:
-        print("  (no rounds recorded)", file=out)
+        print(f"  (no {unit} recorded)", file=out)
         return
     totals = _table_totals(table)
     hits = totals.get("layout_hit", 0)
-    parts = [f"rounds={n}"]
+    parts = [f"{unit}={n}"]
     for name in ("sent", "delivered", "fault_drops", "send_drops", "receive_drops"):
         if name in table.columns:
             parts.append(f"{name}={totals[name]}")
@@ -115,7 +116,7 @@ def _summarize_net_table(table: TableData, top: int, out) -> None:
                 else str(int(value))
             )
         rows.append(row)
-    print(f"  top {k} slowest rounds:", file=out)
+    print(f"  top {k} slowest {unit}:", file=out)
     body = _render(headers, rows)
     print("    " + body.replace("\n", "\n    "), file=out)
 
@@ -167,7 +168,7 @@ def cmd_summary(args) -> int:
     if other:
         print(f"\nother tables ({len(other)}):", file=out)
         for table in other:
-            _summarize_net_table(table, args.top, out)
+            _summarize_net_table(table, args.top, out, unit="rows")
     return 0
 
 

@@ -1,11 +1,12 @@
 """The grouping primitives of ``repro.net.vectorops``.
 
-``group_argsort`` is an LSD radix sort over 16-bit digits whose contract
-is *exactly* ``np.argsort(values, kind="stable")`` for values in
-``[0, bound)``: each digit regime (one digit, two digits, the stable
-fallback above ``2**32``) is checked against numpy over random seeds and
-at its edges, and out-of-range values must raise instead of wrapping in
-the ``uint16`` digit cast.
+``group_argsort``'s contract is *exactly* ``np.argsort(values,
+kind="stable")`` for values in ``[0, bound)``.  It takes one of three
+branches — a one-digit ``uint16`` radix sort (``bound <= 2**16`` and
+``m < 2**19``), a packed-key ``int64`` sort (everything else that fits),
+and numpy's stable sort (labels too large to shift the index in) — and
+each is checked against numpy over random seeds and at its edges.
+Out-of-range values must raise instead of wrapping in the digit cast.
 
 ``segmented_keep_indices`` is checked against the searchsorted /
 ``np.sort`` formulation it replaced: same kept indices and the same
@@ -20,12 +21,15 @@ import pytest
 from repro.net.vectorops import group_argsort, segmented_keep_indices
 
 SEEDS = range(8)
-#: One bound per digit regime, with the largest values each regime takes.
+#: One bound per branch for ``m < 5000`` (so ``bits <= 13``), with the
+#: largest values each branch takes.
 REGIMES = {
-    "one-digit": 2**16,
-    "two-digit": 2**32,
-    "fallback": 2**40,
+    "radix": 2**16,
+    "packed": 2**40,
+    "fallback": 2**62,
 }
+#: The radix/packed crossover in item count.
+PACKED_M = 2**19
 
 
 def _reference(values: np.ndarray) -> np.ndarray:
@@ -64,7 +68,7 @@ class TestGroupArgsort:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_dense_labels_below_bound(self, seed):
-        # Labels far below a two-digit bound: the high digit is all zero.
+        # Labels far below a bound past the radix range (packed branch).
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 1000, size=3000)
         np.testing.assert_array_equal(group_argsort(values, 2**20), _reference(values))
@@ -95,6 +99,67 @@ class TestGroupArgsort:
     def test_narrow_input_dtype(self):
         values = np.array([3, 1, 2, 1, 0, 3], dtype=np.int32)
         np.testing.assert_array_equal(group_argsort(values, 4), _reference(values))
+
+    @pytest.mark.parametrize("m", [2**14, PACKED_M])
+    def test_int32_widened_before_shift(self, m):
+        # int32 labels near 2**31 overflow int32 once shifted by 14+ bits.
+        rng = np.random.default_rng(m)
+        values = rng.integers(2**31 - 50, 2**31, size=m).astype(np.int32)
+        np.testing.assert_array_equal(group_argsort(values, 2**31), _reference(values))
+
+    @pytest.mark.parametrize(
+        ("bound", "m"),
+        [
+            (2**16, PACKED_M - 1),  # the largest radix call
+            (2**16, PACKED_M),  # the smallest packed call by size
+            (2**16 + 1, 3),  # the smallest packed call by bound
+            (2**16 + 1, PACKED_M - 1),
+            (2**16 + 1, PACKED_M),
+        ],
+    )
+    def test_crossover_edges(self, bound, m):
+        rng = np.random.default_rng(bound ^ m)
+        values = rng.integers(0, min(bound, 500), size=m)
+        values[rng.integers(0, m)] = bound - 1
+        np.testing.assert_array_equal(group_argsort(values, bound), _reference(values))
+
+    @pytest.mark.parametrize("m", [2, 1000, 4096, 4097])
+    @pytest.mark.parametrize("over", [False, True])
+    def test_shift_overflow_edge(self, m, over):
+        # The packed key holds labels below 2**(63 - bits); from there on
+        # the stable sort takes over.
+        limit = 2 ** (63 - (m - 1).bit_length())
+        rng = np.random.default_rng(m)
+        values = limit - 1 - rng.integers(0, 3, size=m)
+        values[m // 2] = limit if over else limit - 1
+        np.testing.assert_array_equal(group_argsort(values, 2**63 - 1), _reference(values))
+
+    @pytest.mark.parametrize(
+        ("bound", "m", "branch"),
+        [
+            (2**16, PACKED_M - 1, "radix"),
+            (2**16, PACKED_M, "packed"),
+            (2**16 + 1, 100, "packed"),
+            (2**62, 100, "fallback"),
+        ],
+    )
+    def test_branch_taken(self, monkeypatch, bound, m, branch):
+        rng = np.random.default_rng(m)
+        values = rng.integers(0, bound, size=m)
+        want = _reference(values)
+        calls = []
+        real_argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.dtype)
+            return real_argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        got = group_argsort(values, bound)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(got, want)
+        expected = {"radix": [np.dtype(np.uint16)], "packed": [], "fallback": [values.dtype]}
+        assert calls == expected[branch]
 
     @pytest.mark.parametrize("bound", [5, 2**16, 2**32, 2**40])
     def test_negative_value_raises(self, bound):

@@ -217,6 +217,11 @@ class TestOlderArtifacts:
         assert "net tables (1):" in lines
         other = lines.index("other tables (1):")
         assert lines[other + 1] == "[shard#0] n=250000 workers=2"
+        # Two worker rows per op of a 38-round run: rows, not rounds.
+        assert lines[other + 2] == "  rows=74 seconds=0.668917"
+        assert lines[other + 3] == "  top 3 slowest rows:"
+        net = lines.index("net tables (1):")
+        assert lines[net + 2].startswith("  rounds=38 ")
 
     def test_diff_reads_shard_table(self, capsys):
         path = str(OLD_SHARD_TRACE)
