@@ -121,23 +121,39 @@ def _fault_keep_indices(keep, m_total: int) -> np.ndarray:
     return keep
 
 
+def _segments(recv_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, nodes)`` of the receiver segments of a sorted round."""
+    seg_nodes = np.flatnonzero(recv_counts)
+    seg_starts = np.zeros(seg_nodes.shape[0], dtype=np.int64)
+    np.cumsum(recv_counts[seg_nodes][:-1], out=seg_starts[1:])
+    return seg_starts, seg_nodes
+
+
 class _RoundLayout:
     """Cross-round cache of the delivery tail's receiver-sorted layout.
 
     Steady-state protocols (flooding over a fixed adjacency — the SoA
     rooting workload) re-emit the *same* sender/receiver column objects
-    round after round.  For such rounds the entire grouping layout is
-    provably unchanged, so the tail reuses it wholesale: the sort
-    permutation, the sorted key columns, the send/receive bincounts and
-    maxima, the receiver segment offsets, the no-self-addressed-traffic
-    flag.  Only the payload lanes are re-gathered.
+    round after round.  An entry holds the layout of such a pair of
+    *entry* columns — the arrays the protocol emitted, before the fault
+    hook: the stable receiver sort permutation, the send/receive
+    bincounts and maxima and, once a round delivered every message, the
+    sorted receivers, sorted senders and segment offsets.
+
+    A round that re-emits the entry columns is served from it (see
+    ``_deliver_from_layout``).  Fault-hook drops are a keep mask over the
+    cached permutation: a stable sort of a subsequence is that
+    subsequence of the stable sort, so the delivered columns are the
+    ones a fresh sort of the survivors would give.  Rounds with
+    self-addressed traffic, a binding capacity after the faults, an
+    out-of-range receiver or object-tier traffic neither store nor read
+    an entry.
 
     An entry is keyed by the column *object* but trusted only after a
     value comparison against a defensive copy taken at store time — see
-    the alias-write guard in ``_deliver_flat``.  Entries are stored only
-    for pristine rounds (no local split, no truncation, no id mapping),
-    i.e. exactly when the keyed objects are the protocol-emitted arrays
-    a later round could re-emit.
+    the alias-write guard in ``_deliver_flat``.  With
+    ``layout_reuse=False`` only ``rcv``/``rcv_copy``/``order`` are kept:
+    the sort permutation of the receivers, re-gathered every round.
     """
 
     __slots__ = (
@@ -147,14 +163,12 @@ class _RoundLayout:
         "rcv_s",
         "recv_counts",
         "recv_max",
-        "seg_starts",
-        "seg_nodes",
+        "seg",
         "snd",
         "snd_copy",
         "snd_s",
         "sent_counts",
         "sent_max",
-        "no_local",
     )
 
     def __init__(self) -> None:
@@ -167,15 +181,27 @@ class _RoundLayout:
         self.rcv_s = None
         self.recv_counts = None
         self.recv_max = 0
-        self.seg_starts = self.seg_nodes = None
-        self.no_local = False
+        self.seg = None
+        self.snd_s = None  # sorted by ``order``
 
     def clear_snd(self) -> None:
         self.snd = self.snd_copy = None
         self.snd_s = None
         self.sent_counts = None
         self.sent_max = 0
-        self.no_local = False
+
+    def store(self, rcv, snd, order, recv_counts, recv_max, sent_counts, sent_max):
+        """Key a new entry on the entry columns, freezing both: a direct
+        in-place write to a re-emitted column errors at once, and writes
+        through other views of the same base are caught by the value
+        comparison at the next round."""
+        rcv.flags.writeable = False
+        snd.flags.writeable = False
+        self.clear_rcv()
+        self.rcv, self.rcv_copy, self.order = rcv, rcv.copy(), order
+        self.recv_counts, self.recv_max = recv_counts, recv_max
+        self.snd, self.snd_copy = snd, snd.copy()
+        self.sent_counts, self.sent_max = sent_counts, sent_max
 
 
 @dataclass(frozen=True)
@@ -699,7 +725,8 @@ class SyncNetwork:
         holds if the hook neither draws from the delivery RNG — that
         would shift every subsequent truncation lottery — nor mutates the
         sender/receiver columns it is shown, which on the vectorized path
-        are the live round columns.
+        are the live round columns (on an SoA round that re-emits cached
+        columns, the frozen cached arrays themselves).
         """
         if not _sanitize.ENABLED:
             return self.fault_hook(self.round_no, snd_ids, rcv_ids)
@@ -936,7 +963,11 @@ class SyncNetwork:
         capacity truncation runs on index buffers via
         :func:`segmented_keep_indices`, and the receiver-sorted columns
         become the next :class:`SoAInbox` whole — or, for object nodes,
-        each node's inbox is a slice of the sorted message list.
+        each node's inbox is a slice of the sorted message list.  SoA
+        rounds without self-addressed traffic are handed, after the
+        fault hook, to :meth:`_deliver_from_layout`, which serves them
+        from the cached layout of their columns whenever no capacity
+        binds.
         """
         cap = self.capacity
         metrics = self._metrics
@@ -946,7 +977,6 @@ class SyncNetwork:
         m_total = rcv_all.shape[0]
         lay = self._layout
         reuse = self._reuse_layouts
-        entry_rcv, entry_snd = rcv_all, snd_all
 
         if _sanitize.ENABLED:
             # int64 end to end: a narrowed lane (RL303's runtime twin)
@@ -991,9 +1021,9 @@ class SyncNetwork:
                 lay.clear_rcv()
 
         # ---- split off self-addressed traffic (bypasses the network) ---
-        if rcv_ok and snd_ok and lay.no_local:
-            # Verified-unchanged round layout: the store round proved this
-            # sender/receiver pair carries no self-addressed traffic.
+        if rcv_ok and snd_ok:
+            # Verified-unchanged entry columns: the round that stored
+            # them proved they carry no self-addressed traffic.
             local_mask = None
         else:
             snd_real = snd_all if contiguous else ids[snd_all]
@@ -1030,22 +1060,37 @@ class SyncNetwork:
         # the surviving remote columns in canonical order — the identical
         # hook point as the legacy engine, before capacity truncation, so
         # every tier sees the same fault stream under a shared seed.
+        kept = None
         if self.fault_hook is not None and m_total:
             snd_ids = snd_all if contiguous else ids[snd_all]
             keep = self._run_fault_hook(snd_ids, rcv_all)
             if keep is not None:
                 kept = _fault_keep_indices(keep, m_total)
-                if kept.size != m_total:
+                if kept.size == m_total:
+                    kept = None
+                else:
                     metrics.fault_drops += m_total - kept.size
-                    select(kept)
+
+        # ---- cached layout: SoA rounds without self-addressed traffic --
+        if reuse and objs is None and not loc_count:
+            keep_mask = None
+            if kept is not None:
+                keep_mask = np.asarray(keep)
+                if keep_mask.dtype != np.bool_:  # keep-indices
+                    keep_mask = np.zeros(m_total, dtype=bool)
+                    keep_mask[kept] = True
+            if self._deliver_from_layout(
+                rcv_all, snd_all, keep_mask, rcv_ok, snd_ok,
+                kind_all, round_kind, pay_all, pay2_all,
+            ):
+                return
+        if kept is not None:
+            select(kept)
 
         # ---- send capacity + sent metrics (one shared bincount) -------
         if m_total:
-            if snd_ok and lay.sent_counts is not None:
-                sent_counts, sent_max = lay.sent_counts, lay.sent_max
-            else:
-                sent_counts = np.bincount(snd_all, minlength=n)
-                sent_max = int(sent_counts.max())
+            sent_counts = np.bincount(snd_all, minlength=n)
+            sent_max = int(sent_counts.max())
             if cap.max_send is not None and sent_max > cap.max_send:
                 keep = segmented_keep_indices(snd_all, cap.max_send, self.rng)
                 metrics.send_drops += m_total - keep.size
@@ -1059,8 +1104,6 @@ class SyncNetwork:
                 metrics.max_sent_per_round = max(
                     metrics.max_sent_per_round, sent_max
                 )
-        else:
-            sent_counts, sent_max = None, 0
         metrics.total_messages += m_total
 
         # ---- receiver mapping -----------------------------------------
@@ -1086,12 +1129,10 @@ class SyncNetwork:
             rcv_idx = rcv_all
 
         # ---- receive capacity + recv metrics (one shared bincount) ----
+        recv_counts = None
         if m_total:
-            if rcv_ok and contiguous and lay.recv_counts is not None:
-                recv_counts, recv_max = lay.recv_counts, lay.recv_max
-            else:
-                recv_counts = np.bincount(rcv_idx, minlength=n)
-                recv_max = int(recv_counts.max())
+            recv_counts = np.bincount(rcv_idx, minlength=n)
+            recv_max = int(recv_counts.max())
             if cap.max_receive is not None and recv_max > cap.max_receive:
                 keep = segmented_keep_indices(rcv_idx, cap.max_receive, self.rng)
                 metrics.receive_drops += m_total - keep.size
@@ -1106,8 +1147,6 @@ class SyncNetwork:
                 metrics.max_received_per_round = max(
                     metrics.max_received_per_round, recv_max
                 )
-        else:
-            recv_counts = None
 
         # ---- inbox assembly (local first, canonical order after) ------
         if loc_count:
@@ -1132,88 +1171,147 @@ class SyncNetwork:
             return
 
         # ---- receiver-grouping layout ---------------------------------
-        # Rounds that re-emit identity-stable (and value-verified) column
-        # objects — flooding protocols announcing over a fixed adjacency
-        # every round — reuse the previous receiver-sorted layout
-        # wholesale: permutation, sorted key columns, segment offsets.
-        # Only the payload lanes are re-gathered, which is what removes
-        # the per-round re-sort from the n=10⁶..10⁷ SoA runs.
-        if rcv_ok and rcv_idx is lay.rcv and lay.order is not None:
+        if not reuse and rcv_ok and rcv_idx is lay.rcv:
+            # Permutation-only cache (layout_reuse=False): the keyed
+            # receivers passed the value comparison above.
             if self._round_trace is not None:
                 self._layout_hit = True
             order = lay.order
-            rcv_s = lay.rcv_s if lay.rcv_s is not None else rcv_idx[order]
-            seg = (
-                (lay.seg_starts, lay.seg_nodes)
-                if lay.seg_starts is not None
-                else None
-            )
-            if snd_ok and snd_all is lay.snd and lay.snd_s is not None:
-                snd_s = lay.snd_s
-            else:
-                snd_s = snd_all[order]
-            kind_s, pay_s, pay2_s, objs_s = gather(order)
         else:
             order = group_argsort(rcv_idx, n)
-            rcv_s = rcv_idx[order]
-            snd_s = snd_all[order]
-            kind_s, pay_s, pay2_s, objs_s = gather(order)
-
-            # Receiver segment offsets fall out of the bincount for free
-            # when no local messages interleave with remote groups.
-            if loc_count == 0 and recv_counts is not None:
-                seg_nodes = np.flatnonzero(recv_counts)
-                seg_starts = np.zeros(seg_nodes.shape[0], dtype=np.int64)
-                np.cumsum(recv_counts[seg_nodes][:-1], out=seg_starts[1:])
-                seg = (seg_starts, seg_nodes)
-            else:
-                seg = None
-
-            if reuse:
-                # Store only pristine layouts: the keyed objects must be
-                # the protocol-emitted arrays a later round can re-emit
-                # (no local split, no truncation, no id mapping touched
-                # them).  Non-pristine rounds leave an older still-valid
-                # entry in place — flooding rounds interleaved with
-                # offer/response rounds keep hitting.
-                if rcv_idx is entry_rcv:
-                    # Freeze the cached view: direct in-place mutation of
-                    # a re-emitted receivers buffer errors immediately;
-                    # writes through other views of the same base are
-                    # caught by the value comparison at the next hit.
-                    rcv_idx.flags.writeable = False
-                    lay.rcv = rcv_idx
-                    lay.rcv_copy = rcv_idx.copy()
-                    lay.order = order
-                    lay.rcv_s = rcv_s
-                    lay.recv_counts = recv_counts
-                    lay.recv_max = recv_max
-                    lay.seg_starts, lay.seg_nodes = (
-                        seg if seg is not None else (None, None)
-                    )
-                    if snd_all is entry_snd:
-                        lay.snd = snd_all
-                        lay.snd_copy = snd_all.copy()
-                        lay.snd_s = snd_s
-                        lay.sent_counts = sent_counts
-                        lay.sent_max = sent_max
-                        lay.no_local = loc_count == 0
-                    else:
-                        lay.clear_snd()
-            elif rcv_idx is not lay.rcv:
-                # Legacy sort-only cache: the permutation keyed by the
-                # frozen receivers view, value-checked at the next hit.
+            if not reuse and rcv_idx is not lay.rcv:
                 rcv_idx.flags.writeable = False
                 lay.clear_rcv()
                 lay.clear_snd()
                 lay.rcv = rcv_idx
                 lay.rcv_copy = rcv_idx.copy()
                 lay.order = order
+        # Receiver segment offsets fall out of the bincount for free when
+        # no local messages interleave with remote groups.
+        self._stage(
+            rcv_idx[order],
+            snd_all[order],
+            *gather(order),
+            round_kind,
+            _segments(recv_counts) if not loc_count else None,
+        )
 
+    def _deliver_from_layout(
+        self,
+        rcv,
+        snd,
+        keep_mask,
+        rcv_ok,
+        snd_ok,
+        kind_all,
+        round_kind,
+        pay_all,
+        pay2_all,
+    ) -> bool:
+        """Deliver an SoA round from the cached layout of its entry columns.
+
+        ``rcv``/``snd`` are the columns the protocol emitted (no
+        self-addressed traffic among them), ``keep_mask`` the fault hook's
+        survivors or ``None`` when it dropped nothing.  The first round
+        that sees a pair of entry columns sorts and stores them; a round
+        re-emitting them reuses the permutation.  The delivered rows are
+        ``order[flatnonzero(keep_mask[order])]``, the stable receiver sort
+        of the survivors, and their counts are the entry's bincounts minus
+        those of the dropped rows, so inboxes, metrics and the delivery
+        RNG are exactly those of the general path.
+
+        Returns ``False``, having changed nothing, when the round must take
+        the general path instead: a receiver is out of range (the general
+        path raises for it unless the hook dropped it) or a capacity
+        binds after the faults (its truncation draws from the RNG).
+        """
+        lay = self._layout
+        n = self._n
+        cap = self.capacity
+        hit = rcv_ok and snd_ok
+        if rcv_ok:
+            recv_counts, recv_max = lay.recv_counts, lay.recv_max
+        elif int(rcv.min()) < 0 or int(rcv.max()) >= n:
+            return False
+        else:
+            recv_counts = np.bincount(rcv, minlength=n)
+            recv_max = int(recv_counts.max())
+        if snd_ok:
+            sent_counts, sent_max = lay.sent_counts, lay.sent_max
+        else:
+            sent_counts = np.bincount(snd, minlength=n)
+            sent_max = int(sent_counts.max())
+        entry_counts = (recv_counts, recv_max, sent_counts, sent_max)
+        if keep_mask is not None:
+            drop = np.flatnonzero(~keep_mask)
+            sent_counts = sent_counts - np.bincount(snd[drop], minlength=n)
+            sent_max = int(sent_counts.max())
+            recv_counts = recv_counts - np.bincount(rcv[drop], minlength=n)
+            recv_max = int(recv_counts.max())
+        if (cap.max_send is not None and sent_max > cap.max_send) or (
+            cap.max_receive is not None and recv_max > cap.max_receive
+        ):
+            return False
+
+        metrics = self._metrics
+        m = rcv.shape[0] - (0 if keep_mask is None else drop.shape[0])
+        metrics.total_messages += m
+        self._pending_count = m
+        if not m:
+            return True
+        self._sent_counts += sent_counts
+        self._recv_counts += recv_counts
+        self._counts_dirty = True
+        metrics.max_sent_per_round = max(metrics.max_sent_per_round, sent_max)
+        metrics.max_received_per_round = max(
+            metrics.max_received_per_round, recv_max
+        )
+
+        if not hit:
+            order = lay.order if rcv_ok else group_argsort(rcv, n)
+            lay.store(rcv, snd, order, *entry_counts)
+        elif self._round_trace is not None:
+            self._layout_hit = True
+        order = lay.order
+        if keep_mask is None:
+            # Every message survives: the whole entry layout, kept for
+            # the next round that delivers everything too.
+            if lay.rcv_s is None:
+                lay.rcv_s = np.repeat(self._ids, recv_counts)
+                lay.snd_s = snd[order]
+                lay.seg = _segments(recv_counts)
+            sel, rcv_s, snd_s, seg = order, lay.rcv_s, lay.snd_s, lay.seg
+        else:
+            sel = order[np.flatnonzero(keep_mask[order])]
+            rcv_s = np.repeat(self._ids, recv_counts)
+            snd_s = snd[sel]
+            seg = _segments(recv_counts)
+        if _sanitize.ENABLED and not np.array_equal(rcv[sel], rcv_s):
+            raise _sanitize.SanitizeError(
+                "sanitize: the cached layout does not sort round "
+                f"{self.round_no}'s receivers (stale permutation)"
+            )
+        self._stage(
+            rcv_s,
+            snd_s,
+            kind_all[sel] if kind_all is not None else None,
+            pay_all[sel] if pay_all is not None else None,
+            pay2_all[sel] if pay2_all is not None else None,
+            None,
+            round_kind,
+            seg,
+        )
+        return True
+
+    def _stage(
+        self, rcv_s, snd_s, kind_s, pay_s, pay2_s, objs_s, round_kind, seg
+    ) -> None:
+        """Install a round's receiver-sorted columns as the next inboxes."""
         if _sanitize.ENABLED:
-            # Postcondition of both layout paths above (fresh sort, cache
-            # hit): the grouped columns are receiver-sorted.  An unsorted
-            # rcv_s here means a stale permutation.
+            # Postcondition of every layout path (fresh sort, cached
+            # layout, masked layout): the grouped columns are
+            # receiver-sorted.  An unsorted rcv_s here means a stale
+            # permutation.
             _sanitize.check_receiver_sorted("rcv_s", rcv_s)
             _sanitize.check_int64("rcv_s", rcv_s)
             _sanitize.check_int64("snd_s", snd_s)
@@ -1235,10 +1333,13 @@ class SyncNetwork:
 
         # Object nodes: each receiver's inbox is its slice of the sorted
         # message list.
+        m_total = rcv_s.shape[0]
         cuts = np.flatnonzero(rcv_s[1:] != rcv_s[:-1]) + 1
         starts = [0] + cuts.tolist() + [m_total]
         group_rcv = rcv_s[np.asarray(starts[:-1], dtype=np.int64)].tolist()
         pending = self._pending
+        contiguous = self._contiguous
+        ids = self._ids
         for g, idx in enumerate(group_rcv):
             nid = idx if contiguous else int(ids[idx])
             pending[nid] = objs_s[starts[g] : starts[g + 1]]

@@ -18,8 +18,10 @@ import numpy as np
 import pytest
 
 from repro import sanitize
+from repro.net.batch import MessageBatch
 from repro.net.message import Message
 from repro.net.network import CapacityPolicy, ProtocolNode, SyncNetwork
+from repro.net.soa import SoAProtocolClass
 from repro.runtime import RunContext
 
 
@@ -187,3 +189,33 @@ class TestFaultHookValidation:
         with pytest.raises(sanitize.SanitizeError, match="mutated"):
             for _ in range(2):
                 net.run_round()
+
+
+class Reemitter(SoAProtocolClass):
+    """Re-emits one pair of columns every round (a cache hit each time)."""
+
+    RCV = np.array([3, 1, 0, 1], dtype=np.int64)
+    SND = np.array([0, 0, 2, 3], dtype=np.int64)
+
+    def on_round_soa(self, round_no, inbox):
+        return MessageBatch._raw(self.SND, self.RCV, 0, np.arange(4, dtype=np.int64))
+
+
+class TestCachedLayoutPostcondition:
+    @pytest.mark.parametrize(
+        "hook",
+        [None, lambda r, s, d: np.array([True, False, True, True])],
+        ids=["pristine", "masked"],
+    )
+    def test_stale_permutation_raises(self, armed, hook):
+        net = SyncNetwork(
+            Reemitter(4),
+            CapacityPolicy.unbounded(),
+            np.random.default_rng(0),
+            ctx=RunContext.resolve(fault_hook=hook),
+        )
+        net.run_round()  # sorts and stores the layout
+        net.run_round()  # served from it
+        net._layout.order = net._layout.order[::-1].copy()
+        with pytest.raises(sanitize.SanitizeError, match="stale permutation"):
+            net.run_round()
