@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.params import ExpanderParams
 from repro.core.protocol import ProtocolRunResult, prepare_network_inputs
 from repro.graphs.portgraph import PortGraph
-from repro.net.batch import KINDS, MessageBatch
+from repro.net.batch import KINDS, BySender, MessageBatch
 from repro.net.network import CapacityPolicy, SyncNetwork
 from repro.net.soa import SoAInbox, SoAProtocolClass
 from repro.net.vectorops import group_argsort
@@ -104,6 +104,7 @@ class SoAExpanderClass(SoAProtocolClass):
         self._accept_cap = params.accept_cap
         self._num_evolutions = params.num_evolutions
         self._own_tokens = np.repeat(ids, params.tokens_per_node)
+        self._ids = ids
 
     # ------------------------------------------------------------------
     def _forward(self, holders: np.ndarray, origins: np.ndarray) -> MessageBatch | None:
@@ -112,8 +113,11 @@ class SoAExpanderClass(SoAProtocolClass):
         m = holders.shape[0]
         if m == 0:
             return None
-        choices = (self.rng.random(m) * self._delta).astype(np.int64)
-        return MessageBatch._raw(holders, self.ports[holders, choices], TOKEN, origins)
+        delta = self._delta
+        choices = (self.rng.random(m) * delta).astype(np.int64)
+        # One flat gather: cheaper than numpy's two-index fancy indexing.
+        targets = self.ports.ravel()[holders * delta + choices]
+        return MessageBatch._raw(holders, targets, TOKEN, origins)
 
     def on_round_soa(self, round_no: int, inbox: SoAInbox) -> MessageBatch | None:
         evolution, step = divmod(round_no, self._span)
@@ -157,8 +161,9 @@ class SoAExpanderClass(SoAProtocolClass):
             self._accept_nodes = holders.copy()
             self._accept_partners = origins.copy()
             self.accepted_log.append((self._accept_nodes, self._accept_partners))
+            # The reply carries the acceptor's own id: a per-sender lane.
             return MessageBatch._raw(
-                self._accept_nodes, self._accept_partners, ACCEPT, self._accept_nodes
+                self._accept_nodes, self._accept_partners, ACCEPT, BySender(self._ids)
             )
 
         # step == ell + 1: collect replies, rebuild the port matrix.
@@ -179,8 +184,7 @@ class SoAExpanderClass(SoAProtocolClass):
             raise AssertionError(
                 f"node {worst} assembled {int(counts[worst])} ports > Δ"
             )
-        ids = np.arange(self.n, dtype=np.int64)
-        self.ports = np.repeat(ids[:, None], self._delta, axis=1)
+        self.ports = np.repeat(self._ids[:, None], self._delta, axis=1)
         if sn.shape[0]:
             starts = np.cumsum(counts) - counts
             cols = np.arange(sn.shape[0], dtype=np.int64) - starts[sn]

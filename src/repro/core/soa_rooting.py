@@ -37,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.portgraph import PortGraph
-from repro.net.batch import MessageBatch
+from repro.net.batch import BySender, MessageBatch
 from repro.net.network import CapacityPolicy, SyncNetwork
 from repro.net.soa import SoAInbox, SoAProtocolClass
 from repro.runtime import RunContext
@@ -109,8 +109,10 @@ class SoARootingClass(SoAProtocolClass):
         self.depth = np.full(n, -1, dtype=np.int64)
         self.announced = np.zeros(n, dtype=bool)
         # The flooding batch's sender/receiver columns never change (node
-        # v announces to its distinct neighbours every flood round); only
-        # the payload gather ``best[senders]`` is per-round work.
+        # v announces to its distinct neighbours every flood round), and
+        # its payload is the per-sender lane ``BySender(best)``: the
+        # network reads ``best`` once, at the sorted senders, so a flood
+        # round builds no m-length column at all.
         self._flood_senders = np.repeat(ids, self.degrees)
         self._done = False
 
@@ -134,7 +136,7 @@ class SoARootingClass(SoAProtocolClass):
             if round_no < self.flood_rounds:
                 senders = self._flood_senders
                 return MessageBatch._raw(
-                    senders, self.flat, MIN_ID, self.best[senders]
+                    senders, self.flat, MIN_ID, BySender(self.best)
                 )
             roots = self.best == self._ids
             parent[roots] = self._ids[roots]
@@ -174,7 +176,11 @@ class SoARootingClass(SoAProtocolClass):
                 receivers = receivers[keep]
                 if senders.shape[0]:
                     out = MessageBatch._raw(
-                        senders, receivers, BFS_OFFER, depth[senders], senders
+                        senders,
+                        receivers,
+                        BFS_OFFER,
+                        BySender(depth),
+                        BySender(self._ids),
                     )
         self._done = bool(self.announced.all())
         return out

@@ -44,7 +44,7 @@ import numpy as np
 from repro.core.bfs import BFSForest
 from repro.core.euler import well_formed_forest_columns
 from repro.graphs.portgraph import PortGraph
-from repro.net.batch import KINDS, MessageBatch
+from repro.net.batch import KINDS, BySender, MessageBatch
 from repro.net.hybrid import HybridLedger
 from repro.net.network import CapacityPolicy, SyncNetwork
 from repro.net.soa import SoAInbox, SoAProtocolClass
@@ -462,13 +462,14 @@ class SoASpannerClass(SoAProtocolClass):
         senders, receivers = self.adj.neighbor_gather(nodes)
         if receivers.shape[0] == 0:
             return None
-        counts = self.adj.indptr[nodes + 1] - self.adj.indptr[nodes]
+        # Both lanes are the sender's maximiser: per-sender lanes over the
+        # node columns, read by the network at this round's delivery.
         return MessageBatch(
             senders=senders,
             receivers=receivers,
             kinds=KINDS.code(self.KIND),
-            payloads=np.repeat(self.best_src[nodes], counts),
-            payloads2=np.repeat(self.best_val[nodes].view(np.int64), counts),
+            payloads=BySender(self.best_src),
+            payloads2=BySender(self.best_val.view(np.int64)),
         )
 
     # -- protocol-class contract ---------------------------------------

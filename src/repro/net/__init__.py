@@ -13,7 +13,7 @@ Section 4 (CONGEST local edges + capacity-limited global edges).
 """
 
 from repro.net.message import Message
-from repro.net.batch import KINDS, MessageBatch
+from repro.net.batch import KINDS, BySender, MessageBatch
 from repro.net.network import (
     ENGINES,
     CapacityPolicy,
@@ -28,6 +28,7 @@ from repro.net.hybrid import HybridLedger
 __all__ = [
     "Message",
     "MessageBatch",
+    "BySender",
     "KINDS",
     "CapacityPolicy",
     "NetworkMetrics",

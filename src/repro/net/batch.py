@@ -20,13 +20,18 @@ Design notes
   — or an ``(int64, int64)`` pair when the optional second payload lane
   ``payloads2`` is attached (e.g. the rooting phase's ``(depth, offerer)``
   BFS offers).  Either shape matches the paper's ``O(log n)``-bit packets.
+- **Per-sender lanes.**  A lane whose payload is a function of the
+  sender alone (its best id, its depth) may be a :class:`BySender` over
+  an ``n``-length node column instead of an ``m``-length array.  The
+  delivery tail carries it untouched and reads the column once, at the
+  receiver-sorted senders, when it stages the inbox.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["KindTable", "KINDS", "MessageBatch"]
+__all__ = ["BySender", "KindTable", "KINDS", "MessageBatch"]
 
 
 class KindTable:
@@ -53,6 +58,25 @@ class KindTable:
 KINDS = KindTable()
 
 
+class BySender:
+    """A payload lane given per sender: row ``i`` carries ``column[senders[i]]``.
+
+    ``column`` is an ``n``-length int64 node column (indexed by node
+    index, like ``senders``).  The network reads it during the delivery
+    of the round that emitted it, before the protocol's next
+    ``on_round_soa``, and hands the inbox a fresh array — so the
+    protocol may keep updating the column in place.  Only use it for a
+    lane that really is a function of the sender: a lane whose rows
+    differ for one sender (forwarded token origins) must stay an
+    ``m``-length array.
+    """
+
+    __slots__ = ("column",)
+
+    def __init__(self, column: np.ndarray) -> None:
+        self.column = column
+
+
 def _as_column(value, length: int, what: str) -> np.ndarray:
     arr = np.asarray(value, dtype=np.int64)
     if arr.ndim == 0:
@@ -62,16 +86,23 @@ def _as_column(value, length: int, what: str) -> np.ndarray:
     return arr
 
 
+def _as_lane(value, length: int, what: str):
+    """A payload lane: a :class:`BySender` as given, else a column."""
+    return value if type(value) is BySender else _as_column(value, length, what)
+
+
 class MessageBatch:
     """A flat batch of messages: parallel int64 columns.
 
-    ``receivers`` and ``payloads`` are always arrays; ``senders`` and
-    ``kinds`` may be scalars meaning "uniform across the batch".
+    ``receivers`` is always an array and ``payloads`` an array or a
+    :class:`BySender` lane; ``senders`` and ``kinds`` may be scalars
+    meaning "uniform across the batch".
     ``payloads2`` is an optional second payload lane (``None`` when the
     batch carries single-integer payloads): protocols whose packets are
     integer *pairs* — e.g. the rooting phase's ``(depth, offerer)`` BFS
     offers — put the first component in ``payloads`` and the second in
-    ``payloads2``.
+    ``payloads2``.  Either payload lane may be a :class:`BySender`, which
+    is stored as given (never broadcast).
     """
 
     __slots__ = ("senders", "receivers", "kinds", "payloads", "payloads2")
@@ -89,9 +120,9 @@ class MessageBatch:
         self.kinds = int(kinds) if np.ndim(kinds) == 0 else _as_column(kinds, m, "kinds")
         if payloads is None:
             payloads = np.zeros(m, dtype=np.int64)
-        self.payloads = _as_column(payloads, m, "payloads")
+        self.payloads = _as_lane(payloads, m, "payloads")
         self.payloads2 = (
-            None if payloads2 is None else _as_column(payloads2, m, "payloads2")
+            None if payloads2 is None else _as_lane(payloads2, m, "payloads2")
         )
 
     # ------------------------------------------------------------------

@@ -54,7 +54,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro import sanitize as _sanitize
-from repro.net.batch import MessageBatch
+from repro.net.batch import BySender, MessageBatch
 from repro.net.message import Message
 from repro.net.soa import SoAInbox, SoAProtocolClass
 from repro.net.vectorops import group_argsort, segmented_keep_indices
@@ -119,6 +119,24 @@ def _fault_keep_indices(keep, m_total: int) -> np.ndarray:
                 "(canonical message order)"
             )
     return keep
+
+
+def _take(lane, sel: np.ndarray):
+    """Rows ``sel`` of a message lane (``None`` stays ``None``).
+
+    A :class:`BySender` lane rides through every selection untouched: its
+    rows follow the sender column, so it is read once, in ``_stage``.
+    """
+    if lane is None or type(lane) is BySender:
+        return lane
+    return lane[sel]
+
+
+def _prepend(head, lane):
+    """``head`` rows (the local messages) ahead of ``lane``'s."""
+    if lane is None or type(lane) is BySender:
+        return lane
+    return np.concatenate([head, lane])
 
 
 def _segments(recv_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -915,6 +933,8 @@ class SyncNetwork:
             # values turn out to have changed underneath the identity.
             # Sanitize mode re-checks every round regardless.
             self._require_ascending_senders(snd_all)
+        self._require_node_column("payloads", produced.payloads)
+        self._require_node_column("payloads2", produced.payloads2)
         kinds = produced.kinds
         if type(kinds) is np.ndarray:
             kind_all, round_kind = kinds, None
@@ -939,6 +959,24 @@ class SyncNetwork:
             raise ValueError(
                 "SoA batch senders must be node indices sorted ascending "
                 "(the canonical emission order)"
+            )
+
+    def _require_node_column(self, what: str, lane) -> None:
+        """A per-sender lane is read at node indices: its column must be
+        a 1-d int64 array of length ``n`` (O(1), every round)."""
+        if type(lane) is not BySender:
+            return
+        col = lane.column
+        if not (
+            isinstance(col, np.ndarray)
+            and col.ndim == 1
+            and col.dtype == np.int64
+            and col.shape[0] == self._n
+        ):
+            raise ValueError(
+                f"SoA batch {what} lane: a BySender column must be a 1-d "
+                f"int64 array of length n={self._n}, got {type(col).__name__} "
+                f"shape={np.shape(col)} dtype={getattr(col, 'dtype', None)}"
             )
 
     # ------------------------------------------------------------------
@@ -1031,9 +1069,9 @@ class SyncNetwork:
         def gather(sel: np.ndarray) -> tuple:
             """``(kinds, payloads, payloads2, objs)`` at rows ``sel``."""
             return (
-                kind_all[sel] if kind_all is not None else None,
-                pay_all[sel] if pay_all is not None else None,
-                pay2_all[sel] if pay2_all is not None else None,
+                _take(kind_all, sel),
+                _take(pay_all, sel),
+                _take(pay2_all, sel),
                 [objs[i] for i in sel.tolist()] if objs is not None else None,
             )
 
@@ -1156,12 +1194,9 @@ class SyncNetwork:
             loc_snd, loc_kind, loc_pay, loc_pay2, loc_objs = local
             rcv_idx = np.concatenate([loc_snd, rcv_idx])
             snd_all = np.concatenate([loc_snd, snd_all])
-            if kind_all is not None:
-                kind_all = np.concatenate([loc_kind, kind_all])
-            if pay_all is not None:
-                pay_all = np.concatenate([loc_pay, pay_all])
-            if pay2_all is not None:
-                pay2_all = np.concatenate([loc_pay2, pay2_all])
+            kind_all = _prepend(loc_kind, kind_all)
+            pay_all = _prepend(loc_pay, pay_all)
+            pay2_all = _prepend(loc_pay2, pay2_all)
             if objs is not None:
                 objs = loc_objs + objs
             m_total += loc_count
@@ -1294,9 +1329,9 @@ class SyncNetwork:
         self._stage(
             rcv_s,
             snd_s,
-            kind_all[sel] if kind_all is not None else None,
-            pay_all[sel] if pay_all is not None else None,
-            pay2_all[sel] if pay2_all is not None else None,
+            _take(kind_all, sel),
+            _take(pay_all, sel),
+            _take(pay2_all, sel),
             None,
             round_kind,
             seg,
@@ -1306,7 +1341,16 @@ class SyncNetwork:
     def _stage(
         self, rcv_s, snd_s, kind_s, pay_s, pay2_s, objs_s, round_kind, seg
     ) -> None:
-        """Install a round's receiver-sorted columns as the next inboxes."""
+        """Install a round's receiver-sorted columns as the next inboxes.
+
+        A :class:`BySender` lane is resolved here, once, at the sorted
+        senders: a fresh array, so the protocol's next write to the node
+        column cannot reach the staged inbox.
+        """
+        if type(pay_s) is BySender:
+            pay_s = pay_s.column[snd_s]
+        if type(pay2_s) is BySender:
+            pay2_s = pay2_s.column[snd_s]
         if _sanitize.ENABLED:
             # Postcondition of every layout path (fresh sort, cached
             # layout, masked layout): the grouped columns are

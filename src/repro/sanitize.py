@@ -6,7 +6,8 @@ half of the same story.  Setting ``REPRO_SANITIZE=1`` arms, in one
 switch:
 
 - **delivery-tail asserts** (``repro.net.network._deliver_flat``):
-  int64 dtype on every message lane entering the tail, ascending-sender
+  int64 dtype on every message lane entering the tail (a per-sender
+  lane's node column included), ascending-sender
   emission on the SoA path, and a receiver-sorted postcondition on the
   grouped columns handed to protocol classes;
 - **SoA column validation** (``repro.net.soa.DEBUG_VALIDATE`` — the
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.net.batch import BySender
 from repro.runtime.envsource import env_flag
 
 __all__ = [
@@ -51,7 +53,11 @@ class SanitizeError(AssertionError):
 
 def check_int64(name: str, arr) -> None:
     """Lanes entering the delivery tail are int64 end to end (RL303's
-    runtime twin): a narrowed lane silently wraps ids/payloads at scale."""
+    runtime twin): a narrowed lane silently wraps ids/payloads at scale.
+    A per-sender lane (:class:`~repro.net.batch.BySender`) is checked
+    through its node column."""
+    if type(arr) is BySender:
+        arr = arr.column
     if arr is not None and arr.dtype != np.int64:
         raise SanitizeError(
             f"sanitize: lane {name!r} has dtype {arr.dtype}, expected int64"
