@@ -121,30 +121,85 @@ def _fault_keep_indices(keep, m_total: int) -> np.ndarray:
     return keep
 
 
-def _take(lane, sel: np.ndarray):
-    """Rows ``sel`` of a message lane (``None`` stays ``None``).
-
-    A :class:`BySender` lane rides through every selection untouched: its
-    rows follow the sender column, so it is read once, in ``_stage``.
-    """
-    if lane is None or type(lane) is BySender:
-        return lane
-    return lane[sel]
-
-
-def _prepend(head, lane):
-    """``head`` rows (the local messages) ahead of ``lane``'s."""
-    if lane is None or type(lane) is BySender:
-        return lane
-    return np.concatenate([head, lane])
-
-
 def _segments(recv_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(starts, nodes)`` of the receiver segments of a sorted round."""
     seg_nodes = np.flatnonzero(recv_counts)
     seg_starts = np.zeros(seg_nodes.shape[0], dtype=np.int64)
     np.cumsum(recv_counts[seg_nodes][:-1], out=seg_starts[1:])
     return seg_starts, seg_nodes
+
+
+class _Lanes:
+    """A round's packed message lanes besides senders and receivers.
+
+    ``kinds`` is a kind column (or ``None``, with the single
+    ``round_kind`` code), ``pay``/``pay2`` the payload lanes and ``objs``
+    the message objects of an object round.  They are read once, at the
+    staged rows.
+    """
+
+    __slots__ = ("kinds", "round_kind", "pay", "pay2", "objs")
+
+    def __init__(self, kinds, round_kind, pay, pay2, objs) -> None:
+        self.kinds, self.round_kind = kinds, round_kind
+        self.pay, self.pay2, self.objs = pay, pay2, objs
+
+    def at(self, sel: np.ndarray, snd_s: np.ndarray) -> tuple:
+        """``(kinds, payloads, payloads2, objs)`` at rows ``sel``.
+
+        A :class:`BySender` lane is read at the sorted senders ``snd_s``
+        instead, into a fresh array: the protocol's next write to its
+        node column cannot reach the staged inbox.
+        """
+
+        def rows(lane):
+            if lane is None:
+                return None
+            return lane.column[snd_s] if type(lane) is BySender else lane[sel]
+
+        objs = self.objs
+        if objs is not None:
+            objs = [objs[i] for i in sel.tolist()]
+        return rows(self.kinds), rows(self.pay), rows(self.pay2), objs
+
+
+class _Round:
+    """A round's traffic in flight, as parallel columns.
+
+    ``rcv``/``snd`` are the receiver and sender-index columns, ``rows``
+    their positions in the packed lanes (``None``: all rows, in order).
+    ``kept`` (with the hook's boolean ``mask``, if it returned one) holds
+    the fault hook's survivors while they are not cut out of the columns
+    yet: a round delivered from the cached layout never needs them as
+    columns of their own.  ``counts`` maps ``"snd"``/``"rcv"`` to the
+    in-flight rows' ``(bincount, max)``.
+    """
+
+    __slots__ = ("rcv", "snd", "rows", "kept", "mask", "counts")
+
+    def __init__(self, rcv, snd, rows=None) -> None:
+        self.rcv, self.snd, self.rows = rcv, snd, rows
+        self.kept = self.mask = None
+        self.counts = {}
+
+    def __len__(self) -> int:
+        return (self.rcv if self.kept is None else self.kept).shape[0]
+
+    def take(self, sel: np.ndarray) -> "_Round":
+        """Rows ``sel`` (ascending) of the columns, as a round of their own."""
+        rows = sel if self.rows is None else self.rows[sel]
+        return _Round(self.rcv[sel], self.snd[sel], rows)
+
+    def cut(self) -> "_Round":
+        """The round with the fault hook's drops cut out of the columns."""
+        return self if self.kept is None else self.take(self.kept)
+
+    def keep_mask(self) -> np.ndarray:
+        """The fault hook's survivors as a boolean mask over the columns."""
+        if self.mask is None:
+            self.mask = np.zeros(self.rcv.shape[0], dtype=bool)
+            self.mask[self.kept] = True
+        return self.mask
 
 
 class _RoundLayout:
@@ -158,20 +213,18 @@ class _RoundLayout:
     bincounts and maxima and, once a round delivered every message, the
     sorted receivers, sorted senders and segment offsets.
 
-    A round that re-emits the entry columns is served from it (see
-    ``_deliver_from_layout``).  Fault-hook drops are a keep mask over the
-    cached permutation: a stable sort of a subsequence is that
+    The cache is only a source of counts and order for the delivery
+    phases (see ``_deliver_flat``).  Fault-hook drops are a keep mask
+    over the cached permutation: a stable sort of a subsequence is that
     subsequence of the stable sort, so the delivered columns are the
     ones a fresh sort of the survivors would give.  Rounds with
-    self-addressed traffic, a binding capacity after the faults, an
-    out-of-range receiver or object-tier traffic neither store nor read
-    an entry.
+    self-addressed traffic, a binding capacity, an out-of-range receiver
+    or object-tier traffic neither store nor read an entry, and with
+    ``layout_reuse=False`` no round does.
 
     An entry is keyed by the column *object* but trusted only after a
-    value comparison against a defensive copy taken at store time — see
-    the alias-write guard in ``_deliver_flat``.  With
-    ``layout_reuse=False`` only ``rcv``/``rcv_copy``/``order`` are kept:
-    the sort permutation of the receivers, re-gathered every round.
+    value comparison against a defensive copy taken at store time (the
+    alias-write guard, ``_verify_entry``).
     """
 
     __slots__ = (
@@ -190,36 +243,20 @@ class _RoundLayout:
     )
 
     def __init__(self) -> None:
-        self.clear_rcv()
-        self.clear_snd()
+        self.rcv = self.snd = None
 
-    def clear_rcv(self) -> None:
-        self.rcv = self.rcv_copy = None
-        self.order = None
-        self.rcv_s = None
-        self.recv_counts = None
-        self.recv_max = 0
-        self.seg = None
-        self.snd_s = None  # sorted by ``order``
-
-    def clear_snd(self) -> None:
-        self.snd = self.snd_copy = None
-        self.snd_s = None
-        self.sent_counts = None
-        self.sent_max = 0
-
-    def store(self, rcv, snd, order, recv_counts, recv_max, sent_counts, sent_max):
+    def store(self, rcv, snd, order, recv, sent) -> None:
         """Key a new entry on the entry columns, freezing both: a direct
         in-place write to a re-emitted column errors at once, and writes
         through other views of the same base are caught by the value
         comparison at the next round."""
         rcv.flags.writeable = False
         snd.flags.writeable = False
-        self.clear_rcv()
         self.rcv, self.rcv_copy, self.order = rcv, rcv.copy(), order
-        self.recv_counts, self.recv_max = recv_counts, recv_max
         self.snd, self.snd_copy = snd, snd.copy()
-        self.sent_counts, self.sent_max = sent_counts, sent_max
+        self.recv_counts, self.recv_max = recv
+        self.sent_counts, self.sent_max = sent
+        self.rcv_s = self.snd_s = self.seg = None
 
 
 @dataclass(frozen=True)
@@ -580,9 +617,9 @@ class SyncNetwork:
         self._counts_dirty = False
         self._pending_count = 0
         self._layout = _RoundLayout()
-        # REPRO_SOA_LAYOUT_REUSE=0 keeps only the sort permutation
-        # (re-gathers every column every round) — the control arm of
-        # bench_s3's re-sort-elimination measurement.
+        # REPRO_SOA_LAYOUT_REUSE=0 turns the layout cache off: every
+        # round counts and sorts afresh — the per-round re-sort control
+        # arm of bench_s3's re-sort-elimination measurement.
         self._reuse_layouts = ctx.layout_reuse
         # ---- round-trace telemetry (C7: observes, never steers) -------
         # Resolution order: context > ambient capture()/activate()
@@ -900,7 +937,7 @@ class SyncNetwork:
         snd_all = np.repeat(
             np.asarray(senders, dtype=np.int64), np.asarray(lengths, dtype=np.int64)
         )
-        self._deliver_flat(rcv_all, snd_all, None, None, None, None, objs)
+        self._deliver_flat(rcv_all, snd_all, _Lanes(None, None, None, None, objs))
 
     # ------------------------------------------------------------------
     # SoA engine entry: one batch carries the whole population's round.
@@ -933,22 +970,19 @@ class SyncNetwork:
             # values turn out to have changed underneath the identity.
             # Sanitize mode re-checks every round regardless.
             self._require_ascending_senders(snd_all)
-        self._require_node_column("payloads", produced.payloads)
-        self._require_node_column("payloads2", produced.payloads2)
         kinds = produced.kinds
+        for what, lane in (
+            ("kinds", kinds),
+            ("payloads", produced.payloads),
+            ("payloads2", produced.payloads2),
+        ):
+            self._require_lane(what, lane, m)
         if type(kinds) is np.ndarray:
             kind_all, round_kind = kinds, None
         else:
             kind_all, round_kind = None, int(kinds)
-        self._deliver_flat(
-            rcv_all,
-            snd_all,
-            kind_all,
-            round_kind,
-            produced.payloads,
-            produced.payloads2,
-            None,
-        )
+        lanes = _Lanes(kind_all, round_kind, produced.payloads, produced.payloads2, None)
+        self._deliver_flat(rcv_all, snd_all, lanes)
 
     def _require_ascending_senders(self, snd_all: np.ndarray) -> None:
         if (
@@ -961,401 +995,292 @@ class SyncNetwork:
                 "(the canonical emission order)"
             )
 
-    def _require_node_column(self, what: str, lane) -> None:
-        """A per-sender lane is read at node indices: its column must be
-        a 1-d int64 array of length ``n`` (O(1), every round)."""
-        if type(lane) is not BySender:
-            return
-        col = lane.column
-        if not (
-            isinstance(col, np.ndarray)
-            and col.ndim == 1
-            and col.dtype == np.int64
-            and col.shape[0] == self._n
-        ):
+    def _require_lane(self, what: str, lane, m: int) -> None:
+        """A message lane is read at row indices: an array lane must be
+        1-d with one row per message.  A per-sender lane is read at node
+        indices: its column must be a 1-d int64 array of length ``n``.
+        O(1), every round."""
+        if type(lane) is BySender:
+            col = lane.column
+            if not (
+                isinstance(col, np.ndarray)
+                and col.ndim == 1
+                and col.dtype == np.int64
+                and col.shape[0] == self._n
+            ):
+                raise ValueError(
+                    f"SoA batch {what} lane: a BySender column must be a 1-d "
+                    f"int64 array of length n={self._n}, got {type(col).__name__} "
+                    f"shape={np.shape(col)} dtype={getattr(col, 'dtype', None)}"
+                )
+        elif isinstance(lane, np.ndarray) and lane.shape != (m,):
             raise ValueError(
-                f"SoA batch {what} lane: a BySender column must be a 1-d "
-                f"int64 array of length n={self._n}, got {type(col).__name__} "
-                f"shape={np.shape(col)} dtype={getattr(col, 'dtype', None)}"
+                f"SoA batch {what} lane has shape {lane.shape}, expected "
+                f"({m},): one row per message"
             )
 
     # ------------------------------------------------------------------
-    # Shared delivery tail: local split, truncation, metrics, assembly.
+    # Shared delivery tail: the phases of _deliver_legacy over columns.
     # ------------------------------------------------------------------
-    def _deliver_flat(
-        self,
-        rcv_all,
-        snd_all,
-        kind_all,
-        round_kind,
-        pay_all,
-        pay2_all,
-        objs,
-    ) -> None:
-        """Deliver one round packed as flat parallel columns.
+    def _deliver_flat(self, rcv, snd, lanes: _Lanes) -> None:
+        """Deliver one round packed as parallel columns.
 
-        SoA rounds carry their payload lanes (``kind_all`` is a kind
-        column, or ``None`` with the single ``round_kind`` code); object
-        rounds carry the message objects in ``objs`` instead.
-        Self-addressed messages are split off with one vectorized mask,
-        capacity truncation runs on index buffers via
-        :func:`segmented_keep_indices`, and the receiver-sorted columns
-        become the next :class:`SoAInbox` whole — or, for object nodes,
-        each node's inbox is a slice of the sorted message list.  SoA
-        rounds without self-addressed traffic are handed, after the
-        fault hook, to :meth:`_deliver_from_layout`, which serves them
-        from the cached layout of their columns whenever no capacity
-        binds.
+        The phases are :meth:`_deliver_legacy`'s, each a method over one
+        :class:`_Round`: local split, fault hook, send truncation,
+        receiver validation, receive truncation, then accounting and
+        staging.  The receiver-sorted columns become the next
+        :class:`SoAInbox` whole — or, for object nodes, each node's inbox
+        is a slice of the sorted message list.
+
+        With ``layout_reuse``, an SoA round without self-addressed
+        traffic counts on its entry columns and, when no capacity binds,
+        takes its receiver order from the cached layout of those columns
+        (:class:`_RoundLayout`): a value-verified hit, pristine or masked
+        by the fault hook's drops, sorts nothing.  Inboxes, metrics and
+        the delivery RNG are the same either way.
         """
-        cap = self.capacity
-        metrics = self._metrics
-        n = self._n
-        ids = self._ids
-        contiguous = self._contiguous
-        m_total = rcv_all.shape[0]
-        lay = self._layout
-        reuse = self._reuse_layouts
-
         if _sanitize.ENABLED:
             # int64 end to end: a narrowed lane (RL303's runtime twin)
             # silently wraps ids/payloads at scale.
-            _sanitize.check_int64("receivers", rcv_all)
-            _sanitize.check_int64("senders", snd_all)
-            _sanitize.check_int64("kinds", kind_all)
-            _sanitize.check_int64("payloads", pay_all)
-            _sanitize.check_int64("payloads2", pay2_all)
-
-        # ---- alias-write guard over the layout cache -------------------
-        # Identity alone can lie: an emitter may mutate a re-emitted
-        # column through a *different view of the same base* (the frozen
-        # writeable flag only guards the cached view itself).  An identity
-        # hit is therefore only trusted after a value comparison against
-        # the defensive copy taken at store time; a mismatch invalidates
-        # that side and the round falls back to a fresh sort — never a
-        # silent misdelivery through a stale permutation.
-        rcv_ok = snd_ok = False
-        if reuse:
-            if rcv_all is lay.rcv:
-                if np.array_equal(rcv_all, lay.rcv_copy):
-                    rcv_ok = True
-                else:
-                    lay.clear_rcv()
-            if snd_all is lay.snd:
-                if np.array_equal(snd_all, lay.snd_copy):
-                    snd_ok = True
-                else:
-                    lay.clear_snd()
-                    if self._soa is not None:
-                        # _deliver_soa skipped its canonical-order check
-                        # on the identity hit; the values changed, so it
-                        # must be re-run on what is actually there.
-                        self._require_ascending_senders(snd_all)
-        elif rcv_all is lay.rcv:
-            # Legacy cache mode (REPRO_SOA_LAYOUT_REUSE=0): reuse of the
-            # sort permutation only, behind the same value comparison.
-            if np.array_equal(rcv_all, lay.rcv_copy):
-                rcv_ok = True
-            else:
-                lay.clear_rcv()
-
-        # ---- split off self-addressed traffic (bypasses the network) ---
-        if rcv_ok and snd_ok:
-            # Verified-unchanged entry columns: the round that stored
-            # them proved they carry no self-addressed traffic.
-            local_mask = None
-        else:
-            snd_real = snd_all if contiguous else ids[snd_all]
-            local_mask = rcv_all == snd_real
-        def gather(sel: np.ndarray) -> tuple:
-            """``(kinds, payloads, payloads2, objs)`` at rows ``sel``."""
-            return (
-                _take(kind_all, sel),
-                _take(pay_all, sel),
-                _take(pay2_all, sel),
-                [objs[i] for i in sel.tolist()] if objs is not None else None,
-            )
-
-        def select(keep: np.ndarray) -> None:
-            nonlocal rcv_all, snd_all, kind_all, pay_all, pay2_all, objs
-            nonlocal m_total, rcv_ok, snd_ok
-            rcv_ok = snd_ok = False
-            rcv_all = rcv_all[keep]
-            snd_all = snd_all[keep]
-            kind_all, pay_all, pay2_all, objs = gather(keep)
-            m_total = rcv_all.shape[0]
-
-        if local_mask is not None and local_mask.any():
-            loc_sel = np.flatnonzero(local_mask)
-            local = (snd_all[loc_sel], *gather(loc_sel))
-            select(np.flatnonzero(~local_mask))
-            loc_count = loc_sel.shape[0]
-        else:
-            local = None
-            loc_count = 0
-
-        # ---- adversarial faults ---------------------------------------
-        # Oblivious drops (crash isolation, partitions, link loss) act on
-        # the surviving remote columns in canonical order — the identical
-        # hook point as the legacy engine, before capacity truncation, so
-        # every tier sees the same fault stream under a shared seed.
-        kept = None
-        if self.fault_hook is not None and m_total:
-            snd_ids = snd_all if contiguous else ids[snd_all]
-            keep = self._run_fault_hook(snd_ids, rcv_all)
-            if keep is not None:
-                kept = _fault_keep_indices(keep, m_total)
-                if kept.size == m_total:
-                    kept = None
-                else:
-                    metrics.fault_drops += m_total - kept.size
-
-        # ---- cached layout: SoA rounds without self-addressed traffic --
-        if reuse and objs is None and not loc_count:
-            keep_mask = None
-            if kept is not None:
-                keep_mask = np.asarray(keep)
-                if keep_mask.dtype != np.bool_:  # keep-indices
-                    keep_mask = np.zeros(m_total, dtype=bool)
-                    keep_mask[kept] = True
-            if self._deliver_from_layout(
-                rcv_all, snd_all, keep_mask, rcv_ok, snd_ok,
-                kind_all, round_kind, pay_all, pay2_all,
+            for what, lane in (
+                ("receivers", rcv),
+                ("senders", snd),
+                ("kinds", lanes.kinds),
+                ("payloads", lanes.pay),
+                ("payloads2", lanes.pay2),
             ):
-                return
-        if kept is not None:
-            select(kept)
-
-        # ---- send capacity + sent metrics (one shared bincount) -------
-        if m_total:
-            sent_counts = np.bincount(snd_all, minlength=n)
-            sent_max = int(sent_counts.max())
-            if cap.max_send is not None and sent_max > cap.max_send:
-                keep = segmented_keep_indices(snd_all, cap.max_send, self.rng)
-                metrics.send_drops += m_total - keep.size
-                select(keep)
-                if m_total:
-                    sent_counts = np.bincount(snd_all, minlength=n)
-                    sent_max = int(sent_counts.max())
-            if m_total:
-                self._sent_counts += sent_counts
-                self._counts_dirty = True
-                metrics.max_sent_per_round = max(
-                    metrics.max_sent_per_round, sent_max
-                )
-        metrics.total_messages += m_total
-
-        # ---- receiver mapping -----------------------------------------
-        if m_total:
-            if contiguous:
-                if not rcv_ok:  # verified-unchanged columns passed before
-                    invalid = (rcv_all < 0) | (rcv_all >= n)
-                    if invalid.any():
-                        raise KeyError(
-                            f"message addressed to unknown node {int(rcv_all[int(invalid.argmax())])}"
-                        )
-                rcv_idx = rcv_all
-            else:
-                pos = np.searchsorted(self._sorted_ids, rcv_all)
-                pos_clip = np.minimum(pos, max(n - 1, 0))
-                invalid = (pos >= n) | (self._sorted_ids[pos_clip] != rcv_all)
-                if invalid.any():
-                    raise KeyError(
-                        f"message addressed to unknown node {int(rcv_all[int(invalid.argmax())])}"
-                    )
-                rcv_idx = self._sort_order[pos]
-        else:
-            rcv_idx = rcv_all
-
-        # ---- receive capacity + recv metrics (one shared bincount) ----
-        recv_counts = None
-        if m_total:
-            recv_counts = np.bincount(rcv_idx, minlength=n)
-            recv_max = int(recv_counts.max())
-            if cap.max_receive is not None and recv_max > cap.max_receive:
-                keep = segmented_keep_indices(rcv_idx, cap.max_receive, self.rng)
-                metrics.receive_drops += m_total - keep.size
-                rcv_idx = rcv_idx[keep]
-                select(keep)
-                if m_total:
-                    recv_counts = np.bincount(rcv_idx, minlength=n)
-                    recv_max = int(recv_counts.max())
-            if m_total:
-                self._recv_counts += recv_counts
-                self._counts_dirty = True
-                metrics.max_received_per_round = max(
-                    metrics.max_received_per_round, recv_max
-                )
-
-        # ---- inbox assembly (local first, canonical order after) ------
-        if loc_count:
-            # Prepend local messages so they sort ahead of remote ones for
-            # the same receiver (stable sort ⇒ legacy's local-first order).
-            # A self-addressed message's receiver index is its sender's.
-            loc_snd, loc_kind, loc_pay, loc_pay2, loc_objs = local
-            rcv_idx = np.concatenate([loc_snd, rcv_idx])
-            snd_all = np.concatenate([loc_snd, snd_all])
-            kind_all = _prepend(loc_kind, kind_all)
-            pay_all = _prepend(loc_pay, pay_all)
-            pay2_all = _prepend(loc_pay2, pay2_all)
-            if objs is not None:
-                objs = loc_objs + objs
-            m_total += loc_count
-
-        self._pending_count = m_total
-        if not m_total:
+                _sanitize.check_int64(what, lane)
+        cacheable = self._reuse_layouts and lanes.objs is None
+        rcv_ok, snd_ok = self._verify_entry(rcv, snd) if cacheable else (False, False)
+        rnd, local = self._split_local(_Round(rcv, snd), rcv_ok and snd_ok)
+        self._apply_faults(rnd)
+        entry = None
+        if cacheable and local is None:
+            entry = self._count_entry(rnd, rcv_ok, snd_ok)
+        head = rnd
+        cap = self.capacity
+        rnd = self._truncate(rnd, "snd", cap.max_send, "send_drops")
+        sent, m_sent = rnd.counts["snd"], len(rnd)
+        self._validate_receivers(rnd)
+        rnd = self._truncate(rnd, "rcv", cap.max_receive, "receive_drops")
+        self._account(sent, m_sent, rnd, local)
+        if not self._pending_count:
             return
-
-        # ---- receiver-grouping layout ---------------------------------
-        if not reuse and rcv_ok and rcv_idx is lay.rcv:
-            # Permutation-only cache (layout_reuse=False): the keyed
-            # receivers passed the value comparison above.
-            if self._round_trace is not None:
-                self._layout_hit = True
-            order = lay.order
+        if entry is not None and rnd is head:
+            self._stage(*self._cached_order(rnd, entry, rcv_ok, snd_ok), lanes)
         else:
-            order = group_argsort(rcv_idx, n)
-            if not reuse and rcv_idx is not lay.rcv:
-                rcv_idx.flags.writeable = False
-                lay.clear_rcv()
-                lay.clear_snd()
-                lay.rcv = rcv_idx
-                lay.rcv_copy = rcv_idx.copy()
-                lay.order = order
-        # Receiver segment offsets fall out of the bincount for free when
-        # no local messages interleave with remote groups.
-        self._stage(
-            rcv_idx[order],
-            snd_all[order],
-            *gather(order),
-            round_kind,
-            _segments(recv_counts) if not loc_count else None,
-        )
+            self._stage(*self._sorted(rnd, local), lanes)
 
-    def _deliver_from_layout(
-        self,
-        rcv,
-        snd,
-        keep_mask,
-        rcv_ok,
-        snd_ok,
-        kind_all,
-        round_kind,
-        pay_all,
-        pay2_all,
-    ) -> bool:
-        """Deliver an SoA round from the cached layout of its entry columns.
+    def _verify_entry(self, rcv, snd) -> tuple[bool, bool]:
+        """The alias-write guard: is each column the cached entry's, by
+        identity *and* value?
 
-        ``rcv``/``snd`` are the columns the protocol emitted (no
-        self-addressed traffic among them), ``keep_mask`` the fault hook's
-        survivors or ``None`` when it dropped nothing.  The first round
-        that sees a pair of entry columns sorts and stores them; a round
-        re-emitting them reuses the permutation.  The delivered rows are
-        ``order[flatnonzero(keep_mask[order])]``, the stable receiver sort
-        of the survivors, and their counts are the entry's bincounts minus
-        those of the dropped rows, so inboxes, metrics and the delivery
-        RNG are exactly those of the general path.
-
-        Returns ``False``, having changed nothing, when the round must take
-        the general path instead: a receiver is out of range (the general
-        path raises for it unless the hook dropped it) or a capacity
-        binds after the faults (its truncation draws from the RNG).
+        Identity alone can lie: an emitter may mutate a re-emitted column
+        through a *different view of the same base* (the frozen writeable
+        flag only guards the cached view itself).  A side is therefore
+        only trusted after a value comparison against the copy taken at
+        store time; a mismatch counts and sorts afresh — never a silent
+        misdelivery through a stale permutation.
         """
         lay = self._layout
-        n = self._n
-        cap = self.capacity
-        hit = rcv_ok and snd_ok
-        if rcv_ok:
-            recv_counts, recv_max = lay.recv_counts, lay.recv_max
-        elif int(rcv.min()) < 0 or int(rcv.max()) >= n:
-            return False
-        else:
-            recv_counts = np.bincount(rcv, minlength=n)
-            recv_max = int(recv_counts.max())
-        if snd_ok:
-            sent_counts, sent_max = lay.sent_counts, lay.sent_max
-        else:
-            sent_counts = np.bincount(snd, minlength=n)
-            sent_max = int(sent_counts.max())
-        entry_counts = (recv_counts, recv_max, sent_counts, sent_max)
-        if keep_mask is not None:
-            drop = np.flatnonzero(~keep_mask)
-            sent_counts = sent_counts - np.bincount(snd[drop], minlength=n)
-            sent_max = int(sent_counts.max())
-            recv_counts = recv_counts - np.bincount(rcv[drop], minlength=n)
-            recv_max = int(recv_counts.max())
-        if (cap.max_send is not None and sent_max > cap.max_send) or (
-            cap.max_receive is not None and recv_max > cap.max_receive
-        ):
-            return False
+        rcv_ok = rcv is lay.rcv and np.array_equal(rcv, lay.rcv_copy)
+        snd_ok = snd is lay.snd and np.array_equal(snd, lay.snd_copy)
+        if snd is lay.snd and not snd_ok:
+            # _deliver_soa skipped its canonical-order check on the
+            # identity hit; the values changed, so re-run it on them.
+            self._require_ascending_senders(snd)
+        return rcv_ok, snd_ok
 
+    def _split_local(self, rnd: _Round, verified: bool):
+        """Phase 1: self-addressed messages bypass the network.
+
+        Returns the remote round and the local one, ``None`` when there
+        is none — as on verified entry columns, which the round that
+        stored them proved free of self-addressed traffic.  A local
+        message's receiver index is its sender's.
+        """
+        if verified:
+            return rnd, None
+        snd_ids = rnd.snd if self._contiguous else self._ids[rnd.snd]
+        is_local = rnd.rcv == snd_ids
+        if not is_local.any():
+            return rnd, None
+        rows = np.flatnonzero(is_local)
+        loc_snd = rnd.snd[rows]
+        return rnd.take(np.flatnonzero(~is_local)), _Round(loc_snd, loc_snd, rows)
+
+    def _apply_faults(self, rnd: _Round) -> None:
+        """Phase 2: oblivious drops (crash isolation, partitions, link
+        loss) over the remote rows in canonical order — the legacy
+        engine's hook point, before capacity truncation, so every tier
+        sees the same fault stream under a shared seed.  The drops stay
+        pending in ``rnd.kept``."""
+        m = len(rnd)
+        if self.fault_hook is None or not m:
+            return
+        snd_ids = rnd.snd if self._contiguous else self._ids[rnd.snd]
+        keep = self._run_fault_hook(snd_ids, rnd.rcv)
+        if keep is None:
+            return
+        kept = _fault_keep_indices(keep, m)
+        if kept.size < m:
+            self._metrics.fault_drops += m - kept.size
+            rnd.kept = kept
+            keep = np.asarray(keep)
+            if keep.dtype == np.bool_:
+                rnd.mask = keep
+
+    def _count_entry(self, rnd: _Round, rcv_ok: bool, snd_ok: bool):
+        """Count a cacheable round on its entry columns.
+
+        A verified side's counts come from the cache, the other's from
+        one bincount; the fault hook's drops (few, where the survivors
+        are many) are subtracted.  Sets ``rnd.counts`` and returns the
+        entry's ``(recv, sent)`` counts for the cache — or ``None``,
+        counting nothing, when a receiver is out of range: such a round
+        is never cached, and phase 4 checks only its survivors.
+        """
+        lay = self._layout
+        if rcv_ok:
+            recv = lay.recv_counts, lay.recv_max
+        elif not self._in_range(rnd.rcv):
+            return None
+        else:
+            recv = self._count(rnd.rcv)
+        sent = (lay.sent_counts, lay.sent_max) if snd_ok else self._count(rnd.snd)
+        rnd.counts = {"rcv": recv, "snd": sent}
+        if rnd.kept is not None:
+            drop = np.flatnonzero(~rnd.keep_mask())
+            for key, (counts, _) in rnd.counts.items():
+                col = getattr(rnd, key)
+                counts = counts - np.bincount(col[drop], minlength=self._n)
+                rnd.counts[key] = counts, int(counts.max())
+        return recv, sent
+
+    def _truncate(self, rnd: _Round, key: str, cap: int | None, drops: str) -> _Round:
+        """Phases 3 and 5, the §1.1 rule in one direction: each sender
+        (``key="snd"``) or receiver (``"rcv"``) over ``cap`` keeps a
+        uniformly random ``cap`` of its rows, the rest add to the metric
+        ``drops``.  One permutation draw, and only when some group binds:
+        the RNG discipline every engine shares.  The result carries its
+        rows' counts in ``counts[key]``."""
+        if key not in rnd.counts:
+            rnd = rnd.cut()
+            rnd.counts[key] = self._count(getattr(rnd, key))
+        if cap is None or rnd.counts[key][1] <= cap:
+            return rnd
+        rnd = rnd.cut()
+        col = getattr(rnd, key)
+        keep = segmented_keep_indices(col, cap, self.rng)
         metrics = self._metrics
-        m = rcv.shape[0] - (0 if keep_mask is None else drop.shape[0])
-        metrics.total_messages += m
-        self._pending_count = m
-        if not m:
-            return True
-        self._sent_counts += sent_counts
-        self._recv_counts += recv_counts
-        self._counts_dirty = True
-        metrics.max_sent_per_round = max(metrics.max_sent_per_round, sent_max)
-        metrics.max_received_per_round = max(
-            metrics.max_received_per_round, recv_max
+        setattr(metrics, drops, getattr(metrics, drops) + col.shape[0] - keep.size)
+        rnd = rnd.take(keep)
+        rnd.counts[key] = self._count(getattr(rnd, key))
+        return rnd
+
+    def _validate_receivers(self, rnd: _Round) -> None:
+        """Phase 4: every receiver must be a node; ids become indices.
+        Receivers counted on the entry columns were range-checked there."""
+        if "rcv" in rnd.counts or not len(rnd):
+            return
+        rcv, n = rnd.rcv, self._n
+        if self._contiguous:
+            if self._in_range(rcv):
+                return
+            invalid = (rcv < 0) | (rcv >= n)
+        else:
+            pos = np.searchsorted(self._sorted_ids, rcv)
+            pos_clip = np.minimum(pos, max(n - 1, 0))
+            invalid = (pos >= n) | (self._sorted_ids[pos_clip] != rcv)
+            if not invalid.any():
+                rnd.rcv = self._sort_order[pos]
+                return
+        raise KeyError(
+            f"message addressed to unknown node {int(rcv[int(invalid.argmax())])}"
         )
 
-        if not hit:
-            order = lay.order if rcv_ok else group_argsort(rcv, n)
-            lay.store(rcv, snd, order, *entry_counts)
+    def _account(self, sent, m_sent: int, rnd: _Round, local) -> None:
+        """Phase 6, metrics: the messages that left their senders
+        (``sent`` counts of ``m_sent`` rows, after send truncation) and
+        the ones delivered (``rnd``), for fresh and cached rounds alike."""
+        metrics = self._metrics
+        metrics.total_messages += m_sent
+        if m_sent:
+            self._sent_counts += sent[0]
+            self._counts_dirty = True
+            metrics.max_sent_per_round = max(metrics.max_sent_per_round, sent[1])
+        m = len(rnd)
+        if m:
+            recv_counts, recv_max = rnd.counts["rcv"]
+            self._recv_counts += recv_counts
+            metrics.max_received_per_round = max(
+                metrics.max_received_per_round, recv_max
+            )
+        self._pending_count = m + (0 if local is None else len(local))
+
+    def _cached_order(self, rnd: _Round, entry, rcv_ok: bool, snd_ok: bool):
+        """Phase 6, order of an entry round, from the layout cache.
+
+        A full hit reads the stored permutation; any other round sorts
+        its entry columns (unless the receivers were verified) and stores
+        them.  The delivered rows are ``order[flatnonzero(keep[order])]``,
+        the stable receiver sort of the hook's survivors.  Returns the
+        :meth:`_stage` arguments.
+        """
+        lay = self._layout
+        if not (rcv_ok and snd_ok):
+            order = lay.order if rcv_ok else group_argsort(rnd.rcv, self._n)
+            lay.store(rnd.rcv, rnd.snd, order, *entry)
         elif self._round_trace is not None:
             self._layout_hit = True
         order = lay.order
-        if keep_mask is None:
+        recv_counts = rnd.counts["rcv"][0]
+        if rnd.kept is None:
             # Every message survives: the whole entry layout, kept for
             # the next round that delivers everything too.
             if lay.rcv_s is None:
                 lay.rcv_s = np.repeat(self._ids, recv_counts)
-                lay.snd_s = snd[order]
+                lay.snd_s = rnd.snd[order]
                 lay.seg = _segments(recv_counts)
             sel, rcv_s, snd_s, seg = order, lay.rcv_s, lay.snd_s, lay.seg
         else:
-            sel = order[np.flatnonzero(keep_mask[order])]
+            sel = order[np.flatnonzero(rnd.keep_mask()[order])]
             rcv_s = np.repeat(self._ids, recv_counts)
-            snd_s = snd[sel]
+            snd_s = rnd.snd[sel]
             seg = _segments(recv_counts)
-        if _sanitize.ENABLED and not np.array_equal(rcv[sel], rcv_s):
+        if _sanitize.ENABLED and not np.array_equal(rnd.rcv[sel], rcv_s):
             raise _sanitize.SanitizeError(
                 "sanitize: the cached layout does not sort round "
                 f"{self.round_no}'s receivers (stale permutation)"
             )
-        self._stage(
-            rcv_s,
-            snd_s,
-            _take(kind_all, sel),
-            _take(pay_all, sel),
-            _take(pay2_all, sel),
-            None,
-            round_kind,
-            seg,
-        )
-        return True
+        return rcv_s, snd_s, sel, seg
 
-    def _stage(
-        self, rcv_s, snd_s, kind_s, pay_s, pay2_s, objs_s, round_kind, seg
-    ) -> None:
-        """Install a round's receiver-sorted columns as the next inboxes.
+    def _sorted(self, rnd: _Round, local):
+        """Phase 6, order of any other round: one stable grouping sort.
 
-        A :class:`BySender` lane is resolved here, once, at the sorted
-        senders: a fresh array, so the protocol's next write to the node
-        column cannot reach the staged inbox.
+        Local messages are prepended so they sort ahead of remote ones
+        for the same receiver (legacy's local-first order).  Without
+        them, the receiver segments fall out of the bincount for free.
+        Returns the :meth:`_stage` arguments.
         """
-        if type(pay_s) is BySender:
-            pay_s = pay_s.column[snd_s]
-        if type(pay2_s) is BySender:
-            pay2_s = pay2_s.column[snd_s]
+        rcv, snd, rows, seg = rnd.rcv, rnd.snd, rnd.rows, None
+        if local is None:
+            seg = _segments(rnd.counts["rcv"][0])
+        else:
+            rcv = np.concatenate([local.rcv, rcv])
+            snd = np.concatenate([local.snd, snd])
+            rows = np.concatenate([local.rows, rows])
+        order = group_argsort(rcv, self._n)
+        return rcv[order], snd[order], order if rows is None else rows[order], seg
+
+    def _stage(self, rcv_s, snd_s, sel, seg, lanes: _Lanes) -> None:
+        """Install a round's receiver-sorted rows ``sel`` as the next
+        inboxes (``seg``: their receiver segments, if known)."""
+        kind_s, pay_s, pay2_s, objs_s = lanes.at(sel, snd_s)
         if _sanitize.ENABLED:
-            # Postcondition of every layout path (fresh sort, cached
-            # layout, masked layout): the grouped columns are
-            # receiver-sorted.  An unsorted rcv_s here means a stale
-            # permutation.
+            # Postcondition of every order (fresh sort, cached layout,
+            # masked layout): the grouped columns are receiver-sorted.
+            # An unsorted rcv_s here means a stale permutation.
             _sanitize.check_receiver_sorted("rcv_s", rcv_s)
             _sanitize.check_int64("rcv_s", rcv_s)
             _sanitize.check_int64("snd_s", snd_s)
@@ -1368,7 +1293,7 @@ class SyncNetwork:
             self._soa_inbox = SoAInbox(
                 snd_s,
                 rcv_s,
-                round_kind if kind_s is None else kind_s,
+                lanes.round_kind if kind_s is None else kind_s,
                 pay_s,
                 pay2_s,
                 segments=seg,
@@ -1387,6 +1312,16 @@ class SyncNetwork:
         for g, idx in enumerate(group_rcv):
             nid = idx if contiguous else int(ids[idx])
             pending[nid] = objs_s[starts[g] : starts[g + 1]]
+
+    def _count(self, col: np.ndarray):
+        """``(bincount, max)`` of a node-index column (``(None, 0)`` if empty)."""
+        if not col.shape[0]:
+            return None, 0
+        counts = np.bincount(col, minlength=self._n)
+        return counts, int(counts.max())
+
+    def _in_range(self, col: np.ndarray) -> bool:
+        return int(col.min()) >= 0 and int(col.max()) < self._n
 
     # ------------------------------------------------------------------
     def run(

@@ -225,8 +225,9 @@ class RunContext:
         environment or the module flag is armed.
     layout_reuse:
         The persistent receiver-sorted layout cache of the SoA round
-        loop (``REPRO_SOA_LAYOUT_REUSE``; default on — timing-only, the
-        control arm of bench_s3's re-sort measurement).
+        loop (``REPRO_SOA_LAYOUT_REUSE``; default on).  Off means no
+        cache: every round counts and sorts afresh — timing-only, the
+        per-round re-sort control arm of bench_s3.
     tracer:
         A :class:`repro.obs.Tracer` or ``None``; resolved through the
         ambient-session / ``REPRO_TRACE`` chain when unspecified.

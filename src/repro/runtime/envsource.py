@@ -18,7 +18,7 @@ individually converged on:
 - flags follow the ``REPRO_SANITIZE`` convention: any value other than
   ``"0"`` (or unset) is true for default-false flags, and ``"0"`` is
   the only way to switch a default-true flag off
-  (``REPRO_SOA_LAYOUT_REUSE=0``);
+  (``REPRO_SOA_LAYOUT_REUSE=0``, which turns the SoA layout cache off);
 - integers fail loudly with the variable name and the offending value,
   never silently fall back.
 """

@@ -1,17 +1,17 @@
 """Delivery layout cache: reuse semantics and the alias-write hazard.
 
-ISSUE 6's first bugfix satellite: the old sort cache keyed the receiver
-permutation on array *identity* and froze the cached view — but a write
-through a **different view of the same base buffer** left the identity
-intact while changing the values, silently reusing a stale permutation
-(misdelivery: the "receiver-sorted" inbox no longer was).  The layout
-cache now verifies every identity hit against a defensive copy taken at
-store time; a mismatch forces a fresh sort.  The sort-only control arm
-(``layout_reuse=False``) keys its permutation the same way and gets the
-same check.  These tests pin that down in both modes, plus the equality
-of cached rounds with uncached ones, and the fault-masked hit: a round
-whose fault hook drops messages is served from the cached permutation
-and must be bit-for-bit the sort-only arm and the object tier.
+An early sort cache keyed the receiver permutation on array *identity*
+and froze the cached view — but a write through a **different view of
+the same base buffer** left the identity intact while changing the
+values, silently reusing a stale permutation (misdelivery: the
+"receiver-sorted" inbox no longer was).  The layout cache now verifies
+every identity hit against a defensive copy taken at store time; a
+mismatch forces a fresh sort.  With the cache off (``layout_reuse=False``)
+every round sorts afresh and no column is frozen.  These tests pin the
+alias-write behaviour with the cache on and off, the equality of cached
+rounds with uncached ones, and the fault-masked hit: a round whose fault
+hook drops messages is served from the cached permutation and must be
+bit-for-bit the cache-off arm and the object tier.
 """
 
 import numpy as np
@@ -129,15 +129,6 @@ class TestAliasWriteRegression:
                 layout_reuse=layout_reuse,
             )
 
-    def test_direct_write_to_cached_column_still_raises(self, layout_reuse):
-        # The frozen-view guard of the old cache is kept: mutating the
-        # emitted column itself errors immediately.
-        rcv = np.array([1, 2, 3], dtype=np.int64)
-        snd = np.array([0, 1, 2], dtype=np.int64)
-        run_scripted([lambda: batch(rcv, snd, [1, 2, 3])], layout_reuse=layout_reuse)
-        with pytest.raises(ValueError, match="read-only"):
-            rcv[0] = 5
-
     def test_sender_alias_mutation_revalidates_canonical_order(self, layout_reuse):
         # _deliver_soa skips its ascending check on an identity-stable
         # sender column; if an alias write breaks the order underneath,
@@ -165,6 +156,29 @@ class TestAliasWriteRegression:
             net.run_round()
 
 
+def test_direct_write_to_cached_column_still_raises():
+    # The frozen-view guard of the old cache is kept: mutating the
+    # emitted column itself errors immediately.  Freezing belongs to the
+    # cache, so this holds with the cache on only.
+    rcv = np.array([1, 2, 3], dtype=np.int64)
+    snd = np.array([0, 1, 2], dtype=np.int64)
+    run_scripted([lambda: batch(rcv, snd, [1, 2, 3])], layout_reuse=True)
+    with pytest.raises(ValueError, match="read-only"):
+        rcv[0] = 5
+
+
+def test_cache_off_freezes_nothing():
+    # With the cache off no round stores an entry, so the emitted
+    # columns stay the protocol's to write.
+    rcv = np.array([1, 2, 3], dtype=np.int64)
+    snd = np.array([0, 1, 2], dtype=np.int64)
+    script = [lambda: batch(rcv, snd, [1, 2, 3])] * 2
+    run_scripted(script, layout_reuse=False)
+    rcv[0] = 5
+    snd[0] = 1
+    assert rcv.flags.writeable and snd.flags.writeable
+
+
 def _steady_state_script(fresh: bool):
     """Five rounds of flooding-shaped traffic: stable receiver/sender
     columns, changing payloads."""
@@ -190,15 +204,15 @@ class TestLayoutReuseEquality:
                 assert np.array_equal(g, w)
         assert net_c.metrics.as_dict() == net_f.metrics.as_dict()
 
-    def test_legacy_cache_mode_is_equal(self, monkeypatch):
+    def test_cache_off_is_equal(self, monkeypatch):
         monkeypatch.setenv("REPRO_SOA_LAYOUT_REUSE", "0")
-        legacy, net_l = run_scripted(_steady_state_script(fresh=False))
+        off, net_off = run_scripted(_steady_state_script(fresh=False))
         monkeypatch.delenv("REPRO_SOA_LAYOUT_REUSE")
         reuse, net_r = run_scripted(_steady_state_script(fresh=False))
-        for got, want in zip(legacy.seen, reuse.seen):
+        for got, want in zip(off.seen, reuse.seen):
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
-        assert net_l.metrics.as_dict() == net_r.metrics.as_dict()
+        assert net_off.metrics.as_dict() == net_r.metrics.as_dict()
 
     def test_truncating_rounds_match_with_and_without_reuse(self, monkeypatch):
         # Capacity binds ⇒ fresh post-truncation arrays ⇒ the cache must
@@ -312,8 +326,8 @@ class ObjectTwin(ProtocolNode):
 def _run_masked(hook, *, receivers=None, capacity=None, mode="reuse", seed=3):
     """One run of the entry traffic under ``hook``.
 
-    ``mode`` is ``"reuse"`` (SoA, full layout cache, traced), ``"sort"``
-    (SoA, ``layout_reuse=False``) or ``"object"`` (per-message nodes on
+    ``mode`` is ``"reuse"`` (SoA, layout cache on, traced), ``"sort"``
+    (SoA, cache off: every round sorts) or ``"object"`` (per-message nodes on
     the legacy engine).  Returns the delivery log, ``metrics.as_dict()``,
     the generator state after the run and the per-round layout hits.
     """
@@ -345,7 +359,7 @@ def _run_masked(hook, *, receivers=None, capacity=None, mode="reuse", seed=3):
 
 
 def _assert_masked_matches_oracles(hook, **kwargs):
-    """The masked arm is bit-for-bit the sort-only arm and the object
+    """The masked arm is bit-for-bit the cache-off arm and the object
     tier; returns its per-round layout hits and metrics."""
     reuse = _run_masked(hook, mode="reuse", **kwargs)
     for mode in ("sort", "object"):

@@ -10,7 +10,7 @@ pinned bit-for-bit against these object nodes by the rooting suites.)
 An SoA lane may also be a per-sender lane, ``BySender(col)``: row ``i``
 carries ``col[senders[i]]``.  On every delivery path (fresh sort, layout
 hits with and without fault drops, self-addressed traffic, binding
-capacities, the sort-only cache, the delay synchroniser) it must deliver
+capacities, the cache turned off, the delay synchroniser) it must deliver
 exactly what the materialised ``col[senders]`` delivers, and a misshapen
 column must fail loudly.
 """
@@ -356,3 +356,78 @@ class TestBySenderMisuse:
             cls_a, net_a, _ = _run_path(True, **PATHS[path])
             cls_b, net_b, _ = _run_path(False, **PATHS[path])
             _assert_same_logs(cls_a.log, cls_b.log)
+
+
+class _LaneEmitter(SoAProtocolClass):
+    """Re-emits one pair of three-row columns every round (a layout hit
+    from the second round on); round ``bad_round`` gives lane ``lane``
+    ``rows`` rows instead of three."""
+
+    SND = (0, 1, 2)
+    RCV = (1, 2, 3)
+
+    def __init__(self, bad_round=None, lane=None, rows=None):
+        super().__init__(N)
+        self.snd = np.array(self.SND, dtype=np.int64)
+        self.rcv = np.array(self.RCV, dtype=np.int64)
+        self.bad_round, self.lane, self.rows = bad_round, lane, rows
+
+    def on_round_soa(self, round_no, inbox):
+        lanes = {
+            "kinds": np.zeros(3, dtype=np.int64),
+            "payloads": np.array([10, 11, 12], dtype=np.int64),
+            "payloads2": np.array([20, 21, 22], dtype=np.int64),
+        }
+        if round_no == self.bad_round:
+            lanes[self.lane] = np.arange(self.rows, dtype=np.int64)
+        return MessageBatch._raw(
+            self.snd, self.rcv, lanes["kinds"], lanes["payloads"], lanes["payloads2"]
+        )
+
+
+def _lane_network(cls):
+    return SyncNetwork(
+        cls,
+        CapacityPolicy.unbounded(),
+        np.random.default_rng(0),
+        ctx=RunContext.resolve(tracer=Tracer()),
+    )
+
+
+class TestMislengthLanes:
+    """An m-length lane with the wrong number of rows fails at once,
+    naming the lane — it is neither delivered truncated nor left to fail
+    deep in the delivery tail."""
+
+    def test_second_round_is_a_layout_hit(self):
+        net = _lane_network(_LaneEmitter())
+        net.run_round()
+        net.run_round()
+        assert net.metrics.per_round.layout_hits().tolist() == [0, 1]
+
+    @pytest.mark.parametrize("bad_round", [0, 1], ids=["fresh-sort", "cached-hit"])
+    @pytest.mark.parametrize(
+        "lane,rows",
+        [
+            ("kinds", 4),
+            ("kinds", 2),
+            ("payloads", 5),
+            ("payloads", 2),
+            ("payloads2", 4),
+            ("payloads2", 2),
+        ],
+    )
+    def test_raises_naming_lane(self, bad_round, lane, rows):
+        net = _lane_network(_LaneEmitter(bad_round, lane, rows))
+        for _ in range(bad_round):
+            net.run_round()
+        with pytest.raises(ValueError, match=rf"\b{lane} lane has shape \({rows},\)"):
+            net.run_round()
+
+    def test_two_dimensional_lane_raises(self):
+        cls = _LaneEmitter(0, "payloads", 3)
+        cls.on_round_soa = lambda round_no, inbox: MessageBatch._raw(
+            cls.snd, cls.rcv, 0, np.zeros((3, 1), dtype=np.int64)
+        )
+        with pytest.raises(ValueError, match=r"\bpayloads lane has shape \(3, 1\)"):
+            _lane_network(cls).run_round()
