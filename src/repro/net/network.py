@@ -168,22 +168,31 @@ class _Round:
 
     ``rcv``/``snd`` are the receiver and sender-index columns, ``rows``
     their positions in the packed lanes (``None``: all rows, in order).
-    ``kept`` (with the hook's boolean ``mask``, if it returned one) holds
-    the fault hook's survivors while they are not cut out of the columns
-    yet: a round delivered from the cached layout never needs them as
-    columns of their own.  ``counts`` maps ``"snd"``/``"rcv"`` to the
-    in-flight rows' ``(bincount, max)``.
+    Rows can leave the round before they are cut out of the columns:
+    :meth:`hold` marks the rows still in flight by ascending indices
+    ``kept`` (the fault hook's survivors) or a boolean ``mask`` (the
+    hook's, or the remote rows of a round whose self-addressed rows are
+    still in the columns), and ``size`` counts them.  A round delivered
+    from the cached layout, or one whose caps do not bind, never needs
+    them as columns of their own.  ``counts`` maps ``"snd"``/``"rcv"``
+    to the in-flight rows' ``(bincount, max)``.
     """
 
-    __slots__ = ("rcv", "snd", "rows", "kept", "mask", "counts")
+    __slots__ = ("rcv", "snd", "rows", "kept", "mask", "size", "counts")
 
     def __init__(self, rcv, snd, rows=None) -> None:
         self.rcv, self.snd, self.rows = rcv, snd, rows
         self.kept = self.mask = None
+        self.size = rcv.shape[0]
         self.counts = {}
 
     def __len__(self) -> int:
-        return (self.rcv if self.kept is None else self.kept).shape[0]
+        return self.size
+
+    def hold(self, kept=None, mask=None) -> None:
+        """Keep only rows ``kept`` (or ``mask``'s) in flight, uncut."""
+        self.kept, self.mask = kept, mask
+        self.size = int(np.count_nonzero(mask)) if kept is None else kept.shape[0]
 
     def take(self, sel: np.ndarray) -> "_Round":
         """Rows ``sel`` (ascending) of the columns, as a round of their own."""
@@ -191,8 +200,10 @@ class _Round:
         return _Round(self.rcv[sel], self.snd[sel], rows)
 
     def cut(self) -> "_Round":
-        """The round with the fault hook's drops cut out of the columns."""
-        return self if self.kept is None else self.take(self.kept)
+        """The round with the held-out rows cut out of the columns."""
+        if self.size == self.rcv.shape[0]:
+            return self
+        return self.take(np.flatnonzero(self.mask) if self.kept is None else self.kept)
 
     def keep_mask(self) -> np.ndarray:
         """The fault hook's survivors as a boolean mask over the columns."""
@@ -200,6 +211,23 @@ class _Round:
             self.mask = np.zeros(self.rcv.shape[0], dtype=bool)
             self.mask[self.kept] = True
         return self.mask
+
+
+class _Local:
+    """A round's self-addressed rows, left in the entry columns.
+
+    ``remote`` marks the other rows of the entry columns, ``snd`` is the
+    entry sender column (a local row's receiver index is its sender),
+    ``size`` counts the local rows and ``counts`` is their per-node
+    bincount.  ``key`` is the grouping key ``(receiver << 1) | remote``
+    over every entry row, when the split computed it.
+    """
+
+    __slots__ = ("remote", "snd", "size", "counts", "key")
+
+    def __init__(self, remote, snd, size) -> None:
+        self.remote, self.snd, self.size = remote, snd, size
+        self.counts = self.key = None
 
 
 class _RoundLayout:
@@ -1032,12 +1060,15 @@ class SyncNetwork:
         :class:`SoAInbox` whole — or, for object nodes, each node's inbox
         is a slice of the sorted message list.
 
-        With ``layout_reuse``, an SoA round without self-addressed
-        traffic counts on its entry columns and, when no capacity binds,
-        takes its receiver order from the cached layout of those columns
-        (:class:`_RoundLayout`): a value-verified hit, pristine or masked
-        by the fault hook's drops, sorts nothing.  Inboxes, metrics and
-        the delivery RNG are the same either way.
+        A round with self-addressed traffic keeps its local rows in the
+        entry columns: the split counts both parts from one bincount and
+        the order step sorts them under one key (:meth:`_split_local`,
+        :meth:`_sorted`).  With ``layout_reuse``, an SoA round without
+        self-addressed traffic counts on its entry columns and, when no
+        capacity binds, takes its receiver order from the cached layout
+        of those columns (:class:`_RoundLayout`): a value-verified hit,
+        pristine or masked by the fault hook's drops, sorts nothing.
+        Inboxes, metrics and the delivery RNG are the same either way.
         """
         if _sanitize.ENABLED:
             # int64 end to end: a narrowed lane (RL303's runtime twin)
@@ -1094,20 +1125,43 @@ class SyncNetwork:
     def _split_local(self, rnd: _Round, verified: bool):
         """Phase 1: self-addressed messages bypass the network.
 
-        Returns the remote round and the local one, ``None`` when there
-        is none — as on verified entry columns, which the round that
-        stored them proved free of self-addressed traffic.  A local
-        message's receiver index is its sender's.
+        Returns the remote round and the local rows (:class:`_Local`),
+        ``None`` when there are none — as on verified entry columns,
+        which the round that stored them proved free of self-addressed
+        traffic.
+
+        The remote round stays the entry columns with the local rows
+        held out (:meth:`_Round.hold`), counted by one bincount of the
+        grouping key ``(receiver << 1) | is_remote``: its even bins are
+        the local counts, its odd bins the remote receive counts, and
+        the remote send counts are the senders' bincount less the local
+        counts.  A later phase cuts the remote rows out only when it
+        needs them as columns — a binding cap.  The fault hook needs
+        them at once, and so do non-contiguous ids and an out-of-range
+        receiver (phase 4 checks only the survivors): those rounds cut
+        here.
         """
         if verified:
             return rnd, None
-        snd_ids = rnd.snd if self._contiguous else self._ids[rnd.snd]
-        is_local = rnd.rcv == snd_ids
-        if not is_local.any():
+        snd, rcv = rnd.snd, rnd.rcv
+        remote = rcv != (snd if self._contiguous else self._ids[snd])
+        m_remote = int(np.count_nonzero(remote))
+        if m_remote == rcv.shape[0]:
             return rnd, None
-        rows = np.flatnonzero(is_local)
-        loc_snd = rnd.snd[rows]
-        return rnd.take(np.flatnonzero(~is_local)), _Round(loc_snd, loc_snd, rows)
+        local = _Local(remote, snd, rcv.shape[0] - m_remote)
+        n = self._n
+        if self.fault_hook is None and self._contiguous and self._in_range(rcv):
+            key = rcv << 1
+            key |= remote
+            both = np.bincount(key, minlength=2 * n)
+            local.counts, local.key = both[0::2], key
+            recv = both[1::2]
+            sent = np.bincount(snd, minlength=n) - local.counts
+            rnd.counts = {"rcv": (recv, int(recv.max())), "snd": (sent, int(sent.max()))}
+            rnd.hold(mask=remote)
+            return rnd, local
+        local.counts = np.bincount(snd[~remote], minlength=n)
+        return rnd.take(np.flatnonzero(remote)), local
 
     def _apply_faults(self, rnd: _Round) -> None:
         """Phase 2: oblivious drops (crash isolation, partitions, link
@@ -1125,10 +1179,8 @@ class SyncNetwork:
         kept = _fault_keep_indices(keep, m)
         if kept.size < m:
             self._metrics.fault_drops += m - kept.size
-            rnd.kept = kept
             keep = np.asarray(keep)
-            if keep.dtype == np.bool_:
-                rnd.mask = keep
+            rnd.hold(kept, keep if keep.dtype == np.bool_ else None)
 
     def _count_entry(self, rnd: _Round, rcv_ok: bool, snd_ok: bool):
         """Count a cacheable round on its entry columns.
@@ -1216,7 +1268,7 @@ class SyncNetwork:
             metrics.max_received_per_round = max(
                 metrics.max_received_per_round, recv_max
             )
-        self._pending_count = m + (0 if local is None else len(local))
+        self._pending_count = m + (0 if local is None else local.size)
 
     def _cached_order(self, rnd: _Round, entry, rcv_ok: bool, snd_ok: bool):
         """Phase 6, order of an entry round, from the layout cache.
@@ -1258,20 +1310,36 @@ class SyncNetwork:
     def _sorted(self, rnd: _Round, local):
         """Phase 6, order of any other round: one stable grouping sort.
 
-        Local messages are prepended so they sort ahead of remote ones
-        for the same receiver (legacy's local-first order).  Without
-        them, the receiver segments fall out of the bincount for free.
-        Returns the :meth:`_stage` arguments.
+        Without self-addressed rows it sorts the receivers.  With them it
+        sorts the staged rows — the local ones and the remote survivors,
+        in row order — by the key ``(receiver << 1) | is_remote``: each
+        receiver's local messages come ahead of its remote ones, each in
+        row order (legacy's local-first order), and nothing is
+        concatenated.  Either way the receiver segments fall out of the
+        bincounts.  Returns the :meth:`_stage` arguments.
         """
-        rcv, snd, rows, seg = rnd.rcv, rnd.snd, rnd.rows, None
+        recv = rnd.counts["rcv"][0] if len(rnd) else None
         if local is None:
-            seg = _segments(rnd.counts["rcv"][0])
-        else:
-            rcv = np.concatenate([local.rcv, rcv])
-            snd = np.concatenate([local.snd, snd])
-            rows = np.concatenate([local.rows, rows])
-        order = group_argsort(rcv, self._n)
-        return rcv[order], snd[order], order if rows is None else rows[order], seg
+            order = group_argsort(rnd.rcv, self._n)
+            rows = order if rnd.rows is None else rnd.rows[order]
+            return rnd.rcv[order], rnd.snd[order], rows, _segments(recv)
+        key, rows = local.key, None
+        if rnd.rows is not None:
+            # The remote survivors were cut out of the entry columns: key
+            # the local rows on their senders, the survivors on their
+            # receivers, and sort only the rows still staged.
+            staged = ~local.remote
+            staged[rnd.rows] = True
+            rows = np.flatnonzero(staged)
+            key = local.snd << 1
+            key[rnd.rows] = (rnd.rcv << 1) | 1
+            key = key[rows]
+        order = group_argsort(key, 2 * self._n)
+        sel = order if rows is None else rows[order]
+        rcv_s = key[order]
+        rcv_s >>= 1
+        seg = _segments(local.counts if recv is None else local.counts + recv)
+        return rcv_s, local.snd[sel], sel, seg
 
     def _stage(self, rcv_s, snd_s, sel, seg, lanes: _Lanes) -> None:
         """Install a round's receiver-sorted rows ``sel`` as the next

@@ -30,28 +30,40 @@ _DIGIT = 1 << 16
 _PACKED_MIN_ITEMS = 1 << 19
 
 
+def _require_integer_labels(what: str, values: np.ndarray) -> None:
+    """Group labels are integers: any cast below truncates a float label
+    (``1.7`` would group with ``1.2``) into a wrong but plausible order."""
+    if values.dtype.kind not in "iub":
+        raise TypeError(
+            f"{what}: labels must be an integer or bool array, got dtype {values.dtype}"
+        )
+
+
 def group_argsort(values: np.ndarray, bound: int) -> np.ndarray:
     """Stable argsort of small non-negative integers (group labels).
 
-    Exactly ``np.argsort(values, kind="stable")`` for ``values`` in
-    ``[0, bound)``:
+    Exactly ``np.argsort(values, kind="stable")`` for integer ``values``
+    in ``[0, bound)``, with ``bits = (m-1).bit_length()`` index bits:
 
+    * ``max(values).bit_length() + bits <= 32`` — a 32-bit packed-key
+      sort: each label shifted left by ``bits`` with its index in the
+      low bits, one ``np.sort`` of those unique ``uint32`` keys (numpy's
+      SIMD sort), and the low bits read back as ``int64``.  Unique keys
+      with the index as tie-break make any sort stable.  The fit is
+      decided on the actual largest label, not on ``bound``;
     * ``bound <= 2**16`` and ``m < 2**19`` — one radix digit: the labels
       sorted as ``uint16`` (numpy runs a radix sort for 16-bit types);
-    * otherwise — a packed-key sort: each label shifted left by
-      ``bits = (m-1).bit_length()`` with its index in the low bits, one
-      ``np.sort`` of those unique ``int64`` keys (numpy's SIMD sort), and
-      the low bits read back.  Unique keys with the index as tie-break
-      make any sort stable;
+    * otherwise — the same packed-key sort over ``int64`` keys;
     * labels too large to shift into ``int64`` — numpy's stable (merge)
       sort.
 
-    The digit cast would wrap out-of-range labels silently, so a
-    ``min``/``max`` pass checks the range first and raises
-    :class:`ValueError` naming the offending value instead of returning
-    a wrong order.
+    The casts would wrap out-of-range labels silently, so a ``min``/``max``
+    pass checks the range first and raises :class:`ValueError` naming the
+    offending value instead of returning a wrong order; non-integer
+    labels raise :class:`TypeError`.
     """
     values = np.asarray(values)
+    _require_integer_labels("group_argsort", values)
     m = values.shape[0]
     if m == 0:
         return np.empty(0, dtype=np.int64)
@@ -59,18 +71,31 @@ def group_argsort(values: np.ndarray, bound: int) -> np.ndarray:
     if vmin < 0 or vmax >= bound:
         bad = vmin if vmin < 0 else vmax
         raise ValueError(f"group_argsort: value {bad} outside [0, {bound})")
+    bits = (m - 1).bit_length()
+    if vmax.bit_length() + bits <= 32:
+        # A transient sort key, not a message lane; the fit check above
+        # makes uint32 exact.
+        return _packed_argsort(values.astype(np.uint32), bits)  # repro-lint: disable=RL303
     if bound <= _DIGIT and m < _PACKED_MIN_ITEMS:
         # A transient sort digit, not a message lane; uint16 is deliberate.
         return np.argsort(values.astype(np.uint16), kind="stable")  # repro-lint: disable=RL303
-    bits = (m - 1).bit_length()
     if vmax >> (63 - bits):
         return np.argsort(values, kind="stable")
-    keyed = values.astype(np.int64)
+    return _packed_argsort(values.astype(np.int64), bits)
+
+
+def _packed_argsort(keyed: np.ndarray, bits: int) -> np.ndarray:
+    """The packed-key sort of :func:`group_argsort`, in place on a fresh
+    copy ``keyed`` of the labels (``uint32`` or ``int64``): labels shifted
+    left by ``bits``, the index in the low bits, one ``np.sort``, and the
+    low bits read back as ``int64``."""
+    m = keyed.shape[0]
     keyed <<= bits
-    keyed |= np.arange(m, dtype=np.int64)
+    keyed |= np.arange(m, dtype=keyed.dtype)
     keyed.sort()
-    keyed &= (1 << bits) - 1
-    return keyed
+    order = keyed if keyed.dtype == np.int64 else np.empty(m, dtype=np.int64)
+    np.bitwise_and(keyed, (1 << bits) - 1, out=order)
+    return order
 
 
 def segmented_keep_indices(
@@ -100,6 +125,7 @@ def segmented_keep_indices(
     survivors are read back in canonical order from a boolean mask.
     """
     groups = np.asarray(groups)
+    _require_integer_labels("segmented_keep_indices", groups)
     m = groups.shape[0]
     if m == 0:
         return np.empty(0, dtype=np.int64)

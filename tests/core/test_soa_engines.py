@@ -15,6 +15,8 @@ round ledger and the structural invariants (no drops, degree bound,
 laziness, symmetry).
 """
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -180,6 +182,33 @@ class TestExpanderObjectVsSoA:
     def test_soa_rejects_legacy_engine(self):
         with pytest.raises(ValueError, match="vectorized"):
             run_soa_expander(G.cycle_graph(16), ctx=RunContext.resolve(engine="legacy"))
+
+
+class TestExpanderPinnedAtScale:
+    """The benchmark's CreateExpander call, pinned bit for bit.
+
+    ``run_soa_expander`` on a 4096-node cycle under seed 1 is the
+    expander phase of the ``thm11-cycle-4k`` workload: 288 rounds whose
+    deliveries are mostly self-addressed (the walk tokens that stay put
+    on the self-loop padding), at ~61k tokens a round.  The digest covers
+    the final port matrix and ``metrics.as_dict()``.  It is the digest of
+    the tail that concatenated local and remote rows ahead of one
+    receiver sort, so the keyed sort must reproduce it; any change to
+    delivery order, truncation draws or metrics moves it.
+    """
+
+    DIGEST = "76fb64ef37608927e7ebf564a41d3e88b626a2a8138c4b0e0c6bb5932cfd3ab2"
+
+    def test_cycle_4k_digest(self):
+        result = run_soa_expander(G.cycle_graph(4096), rng=np.random.default_rng(1))
+        ports = np.ascontiguousarray(result.final_graph.ports)
+        h = hashlib.sha256()
+        h.update(str(ports.dtype).encode())
+        h.update(str(ports.shape).encode())
+        h.update(ports.tobytes())
+        h.update(json.dumps(result.metrics.as_dict(), sort_keys=True).encode())
+        assert result.rounds == 288
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestPipelineSoAModes:

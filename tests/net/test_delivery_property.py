@@ -13,6 +13,12 @@ or not.  Three executions of each script must agree exactly — inboxes,
 - the SoA tier with the cache off (every round sorts afresh);
 - the same traffic as per-message object nodes on the legacy engine,
   the plainly written oracle.
+
+A second strategy draws what CreateExpander's lazy walks deliver: rounds
+at least 75% self-addressed, with or without a fault hook installed and
+with caps that mostly bind, so the local rows' keyed sort runs both on
+the uncut entry columns and after a phase cut the remote rows out.
+There the object tier also runs on the vectorized engine.
 """
 
 from dataclasses import dataclass
@@ -49,6 +55,7 @@ class Script:
     pool: tuple  # ((snd, rcv), ...) pairs re-emitted as the same arrays
     rounds: tuple
     capacity: CapacityPolicy
+    hooked: bool = True  # whether the network installs the fault hook
 
 
 @st.composite
@@ -100,6 +107,36 @@ def scripts(draw) -> Script:
         )
     capacity = CapacityPolicy(draw(st.sampled_from(CAPS)), draw(st.sampled_from(CAPS)))
     return Script(n, pool, tuple(rounds), capacity)
+
+
+@st.composite
+def local_heavy_scripts(draw) -> Script:
+    """Fresh rounds in which at most a quarter of the rows leave their
+    sender; the rest are self-addressed."""
+    n = draw(st.integers(2, 7))
+    node = st.integers(0, n - 1)
+    rounds = []
+    for _ in range(draw(st.integers(1, 6))):
+        m = draw(st.integers(1, 24))
+        snd = sorted(draw(st.lists(node, min_size=m, max_size=m)))
+        rcv = list(snd)
+        for i in draw(st.sets(st.integers(0, m - 1), max_size=m // 4)):
+            rcv[i] = (snd[i] + draw(st.integers(1, n - 1))) % n
+        assert 4 * sum(r != s for r, s in zip(rcv, snd)) <= m
+        rounds.append(
+            Round(
+                -1,
+                "both",
+                tuple(snd),
+                tuple(rcv),
+                draw(st.sampled_from(["none", "mask", "indices"])),
+                tuple(draw(st.lists(st.booleans(), min_size=m, max_size=m))),
+                draw(st.booleans()),
+            )
+        )
+    binding = st.sampled_from((1, 2, 3, None))
+    capacity = CapacityPolicy(draw(binding), draw(binding))
+    return Script(n, (), tuple(rounds), capacity, draw(st.booleans()))
 
 
 def _payload_column(round_no: int, n: int) -> np.ndarray:
@@ -186,15 +223,17 @@ class ObjectNode(ProtocolNode):
 
 def _execute(script: Script, mode: str, seed: int):
     rng = np.random.default_rng(seed)
-    if mode == "object":
+    hook = _hook(script) if script.hooked else None
+    if mode.startswith("object"):
         log: list = []
         nodes = {v: ObjectNode(v, script, log) for v in range(script.n)}
-        ctx = RunContext.resolve(engine="legacy", fault_hook=_hook(script))
+        engine = "vectorized" if mode == "object-vectorized" else "legacy"
+        ctx = RunContext.resolve(engine=engine, fault_hook=hook)
         net = SyncNetwork(nodes, script.capacity, rng, ctx=ctx)
     else:
         cls = Emitter(script)
         log = cls.log
-        ctx = RunContext.resolve(layout_reuse=mode == "cache-on", fault_hook=_hook(script))
+        ctx = RunContext.resolve(layout_reuse=mode == "cache-on", fault_hook=hook)
         net = SyncNetwork(cls, script.capacity, rng, ctx=ctx)
     for _ in range(len(script.rounds) + 1):
         net.run_round()
@@ -206,6 +245,17 @@ def _execute(script: Script, mode: str, seed: int):
 def test_cache_on_cache_off_and_object_tier_agree(script, seed):
     want = _execute(script, "object", seed)
     for mode in ("cache-on", "cache-off"):
+        got = _execute(script, mode, seed)
+        assert got[0] == want[0], mode
+        assert got[1] == want[1], mode
+        assert got[2] == want[2], mode
+
+
+@given(local_heavy_scripts(), st.integers(0, 2**16))
+@settings(max_examples=300, deadline=None)
+def test_self_addressed_rounds_agree(script, seed):
+    want = _execute(script, "object", seed)
+    for mode in ("cache-on", "cache-off", "object-vectorized"):
         got = _execute(script, mode, seed)
         assert got[0] == want[0], mode
         assert got[1] == want[1], mode

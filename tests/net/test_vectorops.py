@@ -1,12 +1,14 @@
 """The grouping primitives of ``repro.net.vectorops``.
 
 ``group_argsort``'s contract is *exactly* ``np.argsort(values,
-kind="stable")`` for values in ``[0, bound)``.  It takes one of three
-branches — a one-digit ``uint16`` radix sort (``bound <= 2**16`` and
-``m < 2**19``), a packed-key ``int64`` sort (everything else that fits),
-and numpy's stable sort (labels too large to shift the index in) — and
-each is checked against numpy over random seeds and at its edges.
-Out-of-range values must raise instead of wrapping in the digit cast.
+kind="stable")`` for integer values in ``[0, bound)``.  It takes one of
+four branches — a packed-key ``uint32`` sort (the largest label's bits
+plus the index bits fit 32), a one-digit ``uint16`` radix sort
+(``bound <= 2**16`` and ``m < 2**19``), a packed-key ``int64`` sort
+(everything else that fits), and numpy's stable sort (labels too large
+to shift the index in) — and each is checked against numpy over random
+seeds and at its edges.  Out-of-range values must raise instead of
+wrapping in a cast, and float labels must raise instead of truncating.
 
 ``segmented_keep_indices`` is checked against the searchsorted /
 ``np.sort`` formulation it replaced: same kept indices and the same
@@ -18,15 +20,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.net import vectorops
 from repro.net.vectorops import group_argsort, segmented_keep_indices
 
 SEEDS = range(8)
-#: One bound per branch for ``m < 5000`` (so ``bits <= 13``), with the
-#: largest values each branch takes.
+#: ``(bound, m_lo, m_hi)`` per branch, with the largest values each
+#: branch takes: radix needs more than 16 index bits to miss the 32-bit
+#: key, the others hold ``m < 5000`` (so ``bits <= 13``).
 REGIMES = {
-    "radix": 2**16,
-    "packed": 2**40,
-    "fallback": 2**62,
+    "packed32": (2**16, 1, 5000),
+    "radix": (2**16, 2**16 + 1, 2**17),
+    "packed": (2**40, 1, 5000),
+    "fallback": (2**62, 1, 5000),
 }
 #: The radix/packed crossover in item count.
 PACKED_M = 2**19
@@ -57,18 +62,20 @@ class TestGroupArgsort:
     @pytest.mark.parametrize("regime", sorted(REGIMES))
     @pytest.mark.parametrize("seed", SEEDS)
     def test_equals_stable_argsort(self, regime, seed):
-        bound = REGIMES[regime]
+        bound, m_lo, m_hi = REGIMES[regime]
         rng = np.random.default_rng(seed)
-        m = int(rng.integers(1, 5000))
+        m = int(rng.integers(m_lo, m_hi))
         # Few distinct labels (long ties) and the full range both occur.
         labels = rng.integers(0, bound, size=int(rng.integers(1, 64)))
         values = labels[rng.integers(0, labels.shape[0], size=m)]
         values[rng.integers(0, m)] = bound - 1
-        np.testing.assert_array_equal(group_argsort(values, bound), _reference(values))
+        out = group_argsort(values, bound)
+        np.testing.assert_array_equal(out, _reference(values))
+        assert out.dtype == np.int64
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_dense_labels_below_bound(self, seed):
-        # Labels far below a bound past the radix range (packed branch).
+        # Labels far below a bound past the radix range (packed32 branch).
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 1000, size=3000)
         np.testing.assert_array_equal(group_argsort(values, 2**20), _reference(values))
@@ -112,7 +119,7 @@ class TestGroupArgsort:
         [
             (2**16, PACKED_M - 1),  # the largest radix call
             (2**16, PACKED_M),  # the smallest packed call by size
-            (2**16 + 1, 3),  # the smallest packed call by bound
+            (2**16 + 1, 3),  # a packed32 call with a bound past the digit
             (2**16 + 1, PACKED_M - 1),
             (2**16 + 1, PACKED_M),
         ],
@@ -134,32 +141,91 @@ class TestGroupArgsort:
         values[m // 2] = limit if over else limit - 1
         np.testing.assert_array_equal(group_argsort(values, 2**63 - 1), _reference(values))
 
+    @staticmethod
+    def _branch(monkeypatch, values, bound):
+        """Run ``group_argsort`` and name the branch it took, from spies
+        on ``np.argsort`` and the packed-key helper."""
+        calls = []
+        real_argsort, real_packed = np.argsort, vectorops._packed_argsort
+
+        def spy_argsort(a, *args, **kwargs):
+            calls.append(("argsort", a.dtype))
+            return real_argsort(a, *args, **kwargs)
+
+        def spy_packed(keyed, bits):
+            calls.append(("packed", keyed.dtype))
+            return real_packed(keyed, bits)
+
+        monkeypatch.setattr(np, "argsort", spy_argsort)
+        monkeypatch.setattr(vectorops, "_packed_argsort", spy_packed)
+        got = group_argsort(values, bound)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(got, _reference(values))
+        assert got.dtype == np.int64
+        names = {
+            ("packed", np.dtype(np.uint32)): "packed32",
+            ("argsort", np.dtype(np.uint16)): "radix",
+            ("packed", np.dtype(np.int64)): "packed",
+            ("argsort", values.dtype): "fallback",
+        }
+        assert len(calls) == 1, calls
+        return names[calls[0]]
+
     @pytest.mark.parametrize(
         ("bound", "m", "branch"),
         [
+            (2**16, 2**12, "packed32"),
+            (2**16 + 1, 100, "packed32"),
             (2**16, PACKED_M - 1, "radix"),
             (2**16, PACKED_M, "packed"),
-            (2**16 + 1, 100, "packed"),
+            (2**40, 100, "packed"),
             (2**62, 100, "fallback"),
         ],
     )
     def test_branch_taken(self, monkeypatch, bound, m, branch):
         rng = np.random.default_rng(m)
         values = rng.integers(0, bound, size=m)
-        want = _reference(values)
-        calls = []
-        real_argsort = np.argsort
+        values[m // 2] = bound - 1
+        assert self._branch(monkeypatch, values, bound) == branch
 
-        def spy(a, *args, **kwargs):
-            calls.append(a.dtype)
-            return real_argsort(a, *args, **kwargs)
+    @pytest.mark.parametrize(
+        ("bound", "m", "label_bits", "branch"),
+        [
+            # 13 index bits: 19 label bits make a 32-bit key, 20 a 33-bit one.
+            (2**20, 2**12 + 1, 19, "packed32"),
+            (2**20, 2**12 + 1, 20, "packed"),
+            # 17 index bits within the digit: the 33-bit key falls back
+            # to the radix.
+            (2**16, 2**17, 15, "packed32"),
+            (2**16, 2**17, 16, "radix"),
+        ],
+    )
+    def test_key_width_edges(self, monkeypatch, bound, m, label_bits, branch):
+        rng = np.random.default_rng(m + label_bits)
+        values = rng.integers(0, 2**label_bits, size=m)
+        values[m // 3] = 2**label_bits - 1
+        key_bits = label_bits + (m - 1).bit_length()
+        assert key_bits == (32 if branch == "packed32" else 33)
+        assert self._branch(monkeypatch, values, bound) == branch
 
-        monkeypatch.setattr(np, "argsort", spy)
-        got = group_argsort(values, bound)
-        monkeypatch.undo()
-        np.testing.assert_array_equal(got, want)
-        expected = {"radix": [np.dtype(np.uint16)], "packed": [], "fallback": [values.dtype]}
-        assert calls == expected[branch]
+    @pytest.mark.parametrize("bound", [2**17, 2**40, 2**62])
+    def test_fit_decided_on_values_not_bound(self, monkeypatch, bound):
+        # A bound far past 32 bits with small labels still sorts on
+        # 32-bit keys: the fit reads the largest label, not the bound.
+        values = np.random.default_rng(bound % 97).integers(0, 1000, size=3000)
+        assert self._branch(monkeypatch, values, bound) == "packed32"
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128, object])
+    def test_non_integer_labels_raise(self, dtype):
+        # A cast would truncate 1.7 and 1.2 into one group: stable order
+        # is [2, 1, 0], the truncated one [2, 0, 1].
+        values = np.array([1.7, 1.2, 0.4]).astype(dtype)
+        with pytest.raises(TypeError, match=np.dtype(dtype).name):
+            group_argsort(values, 4)
+
+    def test_bool_labels_sort(self):
+        values = np.array([True, False, True, False])
+        np.testing.assert_array_equal(group_argsort(values, 2), _reference(values))
 
     @pytest.mark.parametrize("bound", [5, 2**16, 2**32, 2**40])
     def test_negative_value_raises(self, bound):
@@ -205,6 +271,15 @@ class TestSegmentedKeepIndices:
         got = segmented_keep_indices(groups, 4, np.random.default_rng(9))
         want = _reference_keep(groups, 4, np.random.default_rng(9))
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_float_labels_raise_before_drawing(self, m):
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        groups = np.array([1.7, 1.2, 0.4])[:m]
+        with pytest.raises(TypeError, match="float64"):
+            segmented_keep_indices(groups, 1, rng)
+        assert rng.bit_generator.state == before
 
     def test_empty_draws_nothing(self):
         rng = np.random.default_rng(3)
