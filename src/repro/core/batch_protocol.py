@@ -20,6 +20,8 @@ object per message and no Python call per node.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.core.params import ExpanderParams
@@ -82,12 +84,19 @@ class SoAExpanderClass(SoAProtocolClass):
         ids = np.arange(n, dtype=np.int64)
         self.ports = np.repeat(ids[:, None], delta, axis=1)
         if copied.sum():
-            flat = np.concatenate(
-                [
-                    np.repeat(np.sort(np.asarray(nb, dtype=np.int64)), params.lam)
-                    for nb in neighbors
-                ]
+            # Each node's neighbours sorted: one sort of the keys
+            # ``owner·n + neighbour`` (owners ascend in the flat column,
+            # so the sort only reorders within a node), then Λ copies.
+            nbrs = np.fromiter(
+                itertools.chain.from_iterable(neighbors),
+                dtype=np.int64,
+                count=int(deg.sum()),
             )
+            if nbrs.min() < 0 or nbrs.max() >= n:
+                raise ValueError(f"a neighbour id lies outside [0, {n})")
+            keys = np.repeat(ids * n, deg) + nbrs
+            keys.sort()
+            flat = np.repeat(keys % n, params.lam)
             rows = np.repeat(ids, copied)
             starts = np.cumsum(copied) - copied
             cols = np.arange(flat.shape[0], dtype=np.int64) - starts[rows]

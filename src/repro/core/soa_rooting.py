@@ -126,13 +126,18 @@ class SoARootingClass(SoAProtocolClass):
         if round_no <= self.flood_rounds:
             # Flooding fold — the round-``flood_rounds`` inbox (the last
             # wave) is still processed, the same boundary rule as the
-            # object tier.
+            # object tier.  The minimum is written straight into
+            # ``best``: the staged payloads are a fresh gather of it,
+            # never a view.
             heard = inbox.of_kind(MIN_ID)
             if len(heard):
+                best = self.best
                 nodes, mins = heard.min_by_receiver(heard.payloads)
-                improved = mins < self.best[nodes]
-                if improved.any():
-                    self.best[nodes[improved]] = mins[improved]
+                if nodes.shape[0] == n:
+                    # Every node heard something: ``nodes`` is arange(n).
+                    np.minimum(best, mins, out=best)
+                else:
+                    best[nodes] = np.minimum(best[nodes], mins)
             if round_no < self.flood_rounds:
                 senders = self._flood_senders
                 return MessageBatch._raw(

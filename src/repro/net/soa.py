@@ -220,8 +220,15 @@ class SoAInbox:
 
         Returns ``(nodes, mins)`` for the receivers that got at least one
         message — the flooding reduction (`np.minimum.reduceat` over the
-        receiver segments), with no per-node Python work.
+        receiver segments), with no per-node Python work.  ``values`` of
+        any other length than the inbox raises ``ValueError``: a longer
+        array would fold its extra tail into the last receiver.
         """
+        if values.shape[0] != self.receivers.shape[0]:
+            raise ValueError(
+                f"min_by_receiver: values has length {values.shape[0]}, "
+                f"the inbox has {self.receivers.shape[0]} rows"
+            )
         starts, nodes = self.segments()
         if nodes.shape[0] == 0:
             return nodes, _NO_COLUMN

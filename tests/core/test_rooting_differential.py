@@ -9,7 +9,9 @@ identical ``(root, parent, depth)`` arrays, metrics and round counts as
 match the reference oracle of :mod:`repro.core.bfs` (same min-id election,
 same min-id parent tie-break).  The object tier is additionally
 cross-checked across both delivery engines, and both tiers under the
-footnote-2 asynchrony synchroniser.
+footnote-2 asynchrony synchroniser.  The flood fold writes its minimum
+into ``best`` in place, over every node or over the nodes that heard
+something; both branches are pinned to the object tier here.
 """
 
 import math
@@ -21,7 +23,8 @@ from repro.core.bfs import build_bfs_forest
 from repro.core.params import ExpanderParams
 from repro.core.protocol import run_protocol_expander
 from repro.core.protocol_tree import run_protocol_rooting, run_rooting_under_asynchrony
-from repro.core.soa_rooting import run_soa_rooting
+from repro.core import soa_rooting
+from repro.core.soa_rooting import MIN_ID, SoARootingClass, run_soa_rooting
 from repro.graphs import generators as G
 from repro.graphs.analysis import bfs_distances
 from repro.runtime import RunContext
@@ -111,3 +114,77 @@ class TestUnderAsynchrony:
         assert report.converged
         assert report.dilation == 4.0
         assert 1 <= report.observed_max_delay <= 4
+
+
+class FoldSpy(SoARootingClass):
+    """Records, per flood round that hears something, whether some node
+    heard nothing, whether the staged payloads share memory with
+    ``best`` (the in-place fold would then rewrite its own inbox), and
+    whether the fold equals a per-message Python fold of the inbox.
+    Min-id flooding heals a wrong fold within a round or two, so the
+    final tree alone does not pin it."""
+
+    log: list[tuple[int, bool, bool, bool]] = []
+
+    def on_round_soa(self, round_no, inbox):
+        heard = inbox.of_kind(MIN_ID)
+        if round_no > self.flood_rounds or not len(heard):
+            return super().on_round_soa(round_no, inbox)
+        partial = heard.segments()[1].shape[0] < self.n
+        shared = np.shares_memory(heard.payloads, self.best)
+        expected = self.best.tolist()
+        for v, p in zip(heard.receivers.tolist(), heard.payloads.tolist()):
+            expected[v] = min(expected[v], p)
+        out = super().on_round_soa(round_no, inbox)
+        folded = self.best.tolist() == expected
+        FoldSpy.log.append((round_no, partial, shared, folded))
+        return out
+
+
+@pytest.fixture
+def fold_log(monkeypatch):
+    FoldSpy.log = []
+    monkeypatch.setattr(soa_rooting, "SoARootingClass", FoldSpy)
+    return FoldSpy.log
+
+
+class TestFloodFold:
+    DEAF = 17
+
+    @classmethod
+    def _deaf_hook(cls, round_no, senders, receivers):
+        # Node DEAF hears nothing while the first waves are in flight.
+        return (receivers != cls.DEAF) | (round_no > 3)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_node_hearing_nothing_matches_object_tier(self, seed, fold_log):
+        graph = small_expander(40, seed)
+        ctx = RunContext.resolve(fault_hook=self._deaf_hook)
+        obj = run_protocol_rooting(
+            graph, FLOOD_ROUNDS, rng=np.random.default_rng(seed), ctx=ctx
+        )
+        soa = run_soa_rooting(
+            graph, FLOOD_ROUNDS, rng=np.random.default_rng(seed), ctx=ctx
+        )
+        assert any(partial for _, partial, _, _ in fold_log)
+        assert all(folded for _, _, _, folded in fold_log)
+        assert soa.metrics.fault_drops > 0
+        assert obj.root == soa.root
+        assert np.array_equal(obj.parent, soa.parent)
+        assert np.array_equal(obj.depth, soa.depth)
+        assert obj.metrics.as_dict() == soa.metrics.as_dict()
+        assert obj.rounds == soa.rounds
+
+    @pytest.mark.parametrize("layout_reuse", [True, False])
+    def test_staged_payloads_do_not_alias_best(self, layout_reuse, fold_log):
+        graph = small_expander(48, seed=2)
+        run_soa_rooting(
+            graph,
+            FLOOD_ROUNDS,
+            rng=np.random.default_rng(2),
+            ctx=RunContext.resolve(layout_reuse=layout_reuse),
+        )
+        assert [r for r, _, _, _ in fold_log] == list(range(1, FLOOD_ROUNDS + 1))
+        assert not any(partial for _, partial, _, _ in fold_log)
+        assert not any(shared for _, _, shared, _ in fold_log)
+        assert all(folded for _, _, _, folded in fold_log)

@@ -22,7 +22,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.batch_protocol import run_soa_expander
+from repro.core.batch_protocol import SoAExpanderClass, run_soa_expander
 from repro.core.bfs import build_bfs_forest
 from repro.core.params import ExpanderParams
 from repro.core.pipeline import build_well_formed_tree
@@ -182,6 +182,33 @@ class TestExpanderObjectVsSoA:
     def test_soa_rejects_legacy_engine(self):
         with pytest.raises(ValueError, match="vectorized"):
             run_soa_expander(G.cycle_graph(16), ctx=RunContext.resolve(engine="legacy"))
+
+
+class TestMakeBenignPorts:
+    """The SoA class builds MakeBenign's port matrix with one keyed sort;
+    each row must be the object node's per-node ``sorted`` layout."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_equal_object_nodes(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 30
+        params = _expander_params(n)
+        max_deg = params.delta // (2 * params.lam)
+        # Unsorted lists with repeated neighbours (multi-edges) and some
+        # isolated nodes.
+        neighbors = [
+            rng.integers(0, n, int(rng.integers(0, max_deg + 1))).tolist()
+            for _ in range(n)
+        ]
+        cls = SoAExpanderClass(n, neighbors, params, rng)
+        for v in range(n):
+            node = ExpanderNode(v, neighbors[v], params, rng)
+            assert cls.ports[v].tolist() == node.ports, v
+
+    def test_out_of_range_neighbour_raises(self):
+        params = _expander_params(4)
+        with pytest.raises(ValueError, match="outside"):
+            SoAExpanderClass(4, [[1], [0, 4], [], []], params, np.random.default_rng(0))
 
 
 class TestExpanderPinnedAtScale:
